@@ -33,7 +33,7 @@ bench-json:
 # match exactly; sizes missing from either file are skipped.
 bench-diff: build
 	dune exec bench/main.exe -- esub --json /tmp/ron_bench_fresh.json --sizes 200,400
-	dune exec bin/bench_diff.exe -- $(BENCH_BASELINE) /tmp/ron_bench_fresh.json \
+	dune exec bin/ron_cli.exe -- diff $(BENCH_BASELINE) /tmp/ron_bench_fresh.json \
 	  --out /tmp/ron_bench_diff_verdict.json
 
 # Scaling smoke: the near-linear pipeline (streamed torus -> on-demand
@@ -46,14 +46,14 @@ SCALE_SMOKE_BUDGET_S ?= 300
 scale-smoke: build
 	timeout $(SCALE_SMOKE_BUDGET_S) dune exec bench/main.exe -- \
 	  --json /tmp/ron_scale_smoke.json --scale-only --scale $(SCALE_SMOKE_N)
-	dune exec bin/bench_diff.exe -- $(BENCH_BASELINE) /tmp/ron_scale_smoke.json \
+	dune exec bin/ron_cli.exe -- diff $(BENCH_BASELINE) /tmp/ron_scale_smoke.json \
 	  --warn-only --out /tmp/ron_scale_smoke_verdict.json
 
 # Observability smoke: trace a routing run, then validate every JSONL event.
 trace-smoke: build
 	dune exec bin/ron_cli.exe -- route -m grid -n 64 -p 200 \
 	  --trace /tmp/ron_trace_smoke.jsonl --metrics-out /tmp/ron_metrics_smoke.json
-	dune exec bin/trace_check.exe /tmp/ron_trace_smoke.jsonl
+	dune exec bin/ron_cli.exe -- check trace /tmp/ron_trace_smoke.jsonl
 
 # Fault smoke: a small fault-injection sweep (crashed nodes + drops + dead
 # links with graceful-degradation fallbacks), then validate every JSONL
@@ -62,7 +62,7 @@ fault-smoke: build
 	dune exec bin/ron_cli.exe -- fault -m grid -n 64 -p 200 \
 	  --crash 0.08 --drop 0.02 --dead-links 0.02 \
 	  --trace /tmp/ron_fault_smoke.jsonl --metrics-out /tmp/ron_fault_metrics.json
-	dune exec bin/trace_check.exe /tmp/ron_fault_smoke.jsonl
+	dune exec bin/ron_cli.exe -- check trace /tmp/ron_fault_smoke.jsonl
 
 # Churn smoke: the dynamic-membership sweep at a reduced landmark size,
 # run at RON_JOBS=1 and 4 — the outputs must be byte-identical (the
@@ -93,9 +93,9 @@ telemetry-smoke: build
 	  --scale $(TELEMETRY_SMOKE_N) \
 	  --telemetry /tmp/ron_telemetry_smoke.jsonl \
 	  --telemetry-interval $(TELEMETRY_SMOKE_INTERVAL_MS)
-	dune exec bin/trace_check.exe -- --telemetry /tmp/ron_telemetry_smoke.jsonl
-	dune exec bin/telemetry_report.exe -- /tmp/ron_telemetry_smoke.jsonl
-	dune exec bin/telemetry_report.exe -- /tmp/ron_telemetry_smoke.jsonl --json \
+	dune exec bin/ron_cli.exe -- check telemetry /tmp/ron_telemetry_smoke.jsonl
+	dune exec bin/ron_cli.exe -- report telemetry /tmp/ron_telemetry_smoke.jsonl
+	dune exec bin/ron_cli.exe -- report telemetry /tmp/ron_telemetry_smoke.jsonl --json \
 	  > /tmp/ron_telemetry_smoke_report.json
 	grep -q '"rss_kb"' /tmp/ron_telemetry_smoke_report.json
 	grep -q '"gc.major_words"' /tmp/ron_telemetry_smoke_report.json
@@ -123,7 +123,7 @@ serve-smoke: build
 
 # SLO smoke: serve a batch with the burn-rate monitor, flight recorder,
 # and Prometheus exposition all on; validate the exposition file, render
-# the verdict through slo_report (human + JSON), and assert the verdict
+# the verdict through `ron_cli report slo` (human + JSON), and assert the verdict
 # carries windows and a burn rate.
 SLO_SMOKE_N ?= 100
 SLO_SMOKE_QUERIES ?= 20000
@@ -135,9 +135,9 @@ slo-smoke: build
 	  | tee /tmp/ron_slo_smoke_serve.txt
 	grep -q '^flight recorded=' /tmp/ron_slo_smoke_serve.txt
 	grep -q '^slo ' /tmp/ron_slo_smoke_serve.txt
-	dune exec bin/trace_check.exe -- --expo /tmp/ron_slo_smoke.prom
-	dune exec bin/slo_report.exe -- /tmp/ron_slo_smoke.json
-	dune exec bin/slo_report.exe -- /tmp/ron_slo_smoke.json --json \
+	dune exec bin/ron_cli.exe -- check expo /tmp/ron_slo_smoke.prom
+	dune exec bin/ron_cli.exe -- report slo /tmp/ron_slo_smoke.json
+	dune exec bin/ron_cli.exe -- report slo /tmp/ron_slo_smoke.json --json \
 	  > /tmp/ron_slo_smoke_report.json
 	grep -q '"max_burn_rate"' /tmp/ron_slo_smoke_report.json
 	grep -q '"windows"' /tmp/ron_slo_smoke_report.json
@@ -148,8 +148,8 @@ slo-smoke: build
 profile-smoke: build
 	dune exec bin/ron_cli.exe -- route -m grid -n 64 -p 200 \
 	  --profile /tmp/ron_profile_smoke.json --trace /tmp/ron_profile_trace.jsonl
-	dune exec bin/trace_check.exe /tmp/ron_profile_trace.jsonl
-	dune exec bin/trace_report.exe -- /tmp/ron_profile_trace.jsonl \
+	dune exec bin/ron_cli.exe -- check trace /tmp/ron_profile_trace.jsonl
+	dune exec bin/ron_cli.exe -- report trace /tmp/ron_profile_trace.jsonl \
 	  --folded /tmp/ron_profile_folded.txt
 	grep -q '"construct.basic"' /tmp/ron_profile_smoke.json
 	grep -q '"query.routes"' /tmp/ron_profile_smoke.json

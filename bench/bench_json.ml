@@ -228,7 +228,7 @@ let graph_section sizes =
    sampled stretch. Parameters mirror Exp_scale so the deterministic
    quantities here cross-check the experiment's table; the timing keys and
    the peak-RSS high-water mark are what this section adds. Entries are
-   keyed by "n" (bench_diff matches list entries on it), so a CI smoke at
+   keyed by "n" (ron_cli diff matches list entries on it), so a CI smoke at
    one size diffs cleanly against a baseline measured at several. *)
 let scale_section n =
   let side = max 2 (int_of_float (Float.round (sqrt (float_of_int n)))) in
@@ -286,11 +286,11 @@ let scale_section n =
 (* The frozen-snapshot serving loop: freeze each scheme, round-trip it
    through a snapshot file, and serve a seeded Zipf-skewed mixed workload.
    Entries are keyed by scheme name (an Obj, not a List — five schemes
-   would collide on bench_diff's "n" list matching). qps is the
+   would collide on ron_cli diff's "n" list matching). qps is the
    higher-is-better throughput key; the digest and the two booleans are
    the deterministic regression surface (byte-identical across job counts
    and across the snapshot round-trip); minor_words_per_query is
-   machine-noise (bench_diff ignores it) but alloc_within_budget pins the
+   machine-noise (ron_cli diff ignores it) but alloc_within_budget pins the
    zero-allocation claim. *)
 let serve_scheme_entry ~scheme ~n ~queries =
   let module Server = Ron_serve.Server in
@@ -641,38 +641,22 @@ let timestamp () =
   Printf.sprintf "%04d-%02d-%02dT%02d:%02d:%02d" (tm.Unix.tm_year + 1900) (tm.Unix.tm_mon + 1)
     tm.Unix.tm_mday tm.Unix.tm_hour tm.Unix.tm_min tm.Unix.tm_sec
 
-let ns_clock () = Int64.of_float (Unix.gettimeofday () *. 1e9)
-
-let run ?(scale_sizes = [ 10_000 ]) ?(scale_only = false) ?telemetry
-    ?(telemetry_interval_ms = 500) ~file ~sizes () =
-  (* Open the output first so a bad path fails before minutes of measuring. *)
-  let oc =
-    try open_out file
-    with Sys_error e ->
-      Printf.eprintf "cannot write --json output: %s\n" e;
-      exit 1
-  in
+let run ?(scale_sizes = [ 10_000 ]) ?(scale_only = false) ~(telemetry : Cli_obs.telemetry) ~file
+    ~sizes () =
+  (* main.exe has checked that the output path is writable. *)
+  let oc = open_out file in
   (* Phase profiling rides along on the whole run with a real clock: the
      report gains a "profile" section breaking construction and query time
-     down per phase (bench_diff ignores it — wall-clock phase shapes are
+     down per phase (ron_cli diff ignores it — wall-clock phase shapes are
      not regression signals). *)
-  Ron_obs.Profile.enable ~clock:ns_clock ();
+  Ron_obs.Profile.enable ~clock:Cli_obs.ns_clock ();
   Ron_obs.Profile.reset ();
   (* The telemetry sampler (if requested) rides along too. It needs the
      probes on — which perturbs the timed sections slightly, so pass
      --telemetry only when the time series is what you are measuring (the
      measured overhead is ~1% on the scale smoke; see EXPERIMENTS.md). *)
-  (match telemetry with
-  | Some tfile ->
-    if telemetry_interval_ms < 1 then begin
-      Printf.eprintf "--telemetry-interval must be >= 1\n";
-      exit 1
-    end;
-    Ron_obs.Telemetry.start ~clock:ns_clock
-      ~interval:(Int64.of_int (telemetry_interval_ms * 1_000_000))
-      (Ron_obs.Trace.channel_sink (open_out tfile));
-    Ron_obs.enable ()
-  | None -> ());
+  Cli_obs.start_telemetry telemetry;
+  if telemetry.file <> None then Ron_obs.enable ();
   let env_fields =
     [
       ("schema", String "ron-bench/1");

@@ -123,89 +123,85 @@ let micro () =
       Printf.printf "%-48s %s\n" name est)
     rows
 
-let parse_sizes s =
-  try
-    String.split_on_char ',' s
-    |> List.map String.trim
-    |> List.filter (fun x -> x <> "")
-    |> List.map int_of_string
-  with Failure _ ->
-    Printf.eprintf "bad --sizes %S (expected e.g. 500,1000,2000)\n" s;
-    exit 1
+(* A comma-separated size list, e.g. 500,1000,2000. *)
+let sizes_conv =
+  let parse s =
+    try
+      Ok
+        (String.split_on_char ',' s
+        |> List.map String.trim
+        |> List.filter (fun x -> x <> "")
+        |> List.map int_of_string)
+    with Failure _ ->
+      Error (`Msg (Printf.sprintf "bad size list %S (expected e.g. 500,1000,2000)" s))
+  in
+  Cmdliner.Arg.conv
+    (parse, fun ppf l -> Format.pp_print_string ppf (String.concat "," (List.map string_of_int l)))
+
+let main ids json_file sizes scale_sizes scale_only (telemetry : Cli_obs.telemetry) =
+  let checked =
+    if telemetry.file <> None && json_file = None then
+      Error "--telemetry requires --json (the sampler rides along the bench report)"
+    else
+      Result.bind (Cli_obs.check_telemetry telemetry) (fun () ->
+          Cli_obs.check_writable "--json" json_file)
+  in
+  match checked with
+  | Error e ->
+    prerr_endline e;
+    2
+  | Ok () ->
+    (match (ids, json_file) with
+    | [ "list" ], None ->
+      List.iter (fun (id, title, _) -> Printf.printf "%-6s %s\n" id title) experiments;
+      Printf.printf "%-6s %s\n" "micro" "Bechamel micro-benchmarks"
+    | [], None ->
+      List.iter (fun (_, _, run) -> run ()) experiments;
+      micro ()
+    | [], Some _ -> () (* JSON report only *)
+    | ids, _ ->
+      List.iter
+        (fun id ->
+          if id = "micro" then micro ()
+          else
+            match List.find_opt (fun (i, _, _) -> i = id) experiments with
+            | Some (_, _, run) -> run ()
+            | None ->
+              Printf.eprintf "unknown experiment id %S (try: dune exec bench/main.exe list)\n" id;
+              exit 1)
+        ids);
+    Option.iter
+      (fun file -> Bench_json.run ~scale_sizes ~scale_only ~telemetry ~file ~sizes ())
+      json_file;
+    0
 
 let () =
-  let args = List.tl (Array.to_list Sys.argv) in
-  let json_file = ref None and sizes = ref [ 500; 1000; 2000 ] in
-  let scale_sizes = ref [ 10_000 ] and scale_only = ref false in
-  let telemetry = ref None and telemetry_interval = ref 500 in
-  let rec strip_flags = function
-    | [] -> []
-    | "--json" :: file :: rest ->
-      json_file := Some file;
-      strip_flags rest
-    | [ "--json" ] ->
-      Printf.eprintf "--json requires a file argument\n";
-      exit 1
-    | "--telemetry" :: file :: rest ->
-      telemetry := Some file;
-      strip_flags rest
-    | [ "--telemetry" ] ->
-      Printf.eprintf "--telemetry requires a file argument\n";
-      exit 1
-    | "--telemetry-interval" :: ms :: rest ->
-      (match int_of_string_opt ms with
-      | Some v when v >= 1 -> telemetry_interval := v
-      | _ ->
-        Printf.eprintf "bad --telemetry-interval %S (expected milliseconds >= 1)\n" ms;
-        exit 1);
-      strip_flags rest
-    | [ "--telemetry-interval" ] ->
-      Printf.eprintf "--telemetry-interval requires a milliseconds argument\n";
-      exit 1
-    | "--sizes" :: spec :: rest ->
-      sizes := parse_sizes spec;
-      strip_flags rest
-    | [ "--sizes" ] ->
-      Printf.eprintf "--sizes requires a comma-separated list (e.g. 500,1000,2000)\n";
-      exit 1
-    | "--scale" :: spec :: rest ->
-      scale_sizes := parse_sizes spec;
-      strip_flags rest
-    | [ "--scale" ] ->
-      Printf.eprintf "--scale requires a comma-separated list (e.g. 10000,100000)\n";
-      exit 1
-    | "--scale-only" :: rest ->
-      scale_only := true;
-      strip_flags rest
-    | arg :: rest -> arg :: strip_flags rest
+  let open Cmdliner in
+  let ids =
+    Arg.(value & pos_all string [] & info [] ~docv:"ID" ~doc:"Experiment ids, $(b,micro) or $(b,list).")
   in
-  let ids = strip_flags args in
-  (match (ids, !json_file) with
-   | ([ "list" ], None) ->
-     List.iter (fun (id, title, _) -> Printf.printf "%-6s %s\n" id title) experiments;
-     Printf.printf "%-6s %s\n" "micro" "Bechamel micro-benchmarks"
-   | ([], None) ->
-     List.iter (fun (_, _, run) -> run ()) experiments;
-     micro ()
-   | ([], Some _) -> () (* JSON report only *)
-   | (ids, _) ->
-     List.iter
-       (fun id ->
-         if id = "micro" then micro ()
-         else begin
-           match List.find_opt (fun (i, _, _) -> i = id) experiments with
-           | Some (_, _, run) -> run ()
-           | None ->
-             Printf.eprintf "unknown experiment id %S (try: dune exec bench/main.exe list)\n" id;
-             exit 1
-         end)
-       ids);
-  match !json_file with
-  | Some file ->
-    Bench_json.run ~scale_sizes:!scale_sizes ~scale_only:!scale_only
-      ?telemetry:!telemetry ~telemetry_interval_ms:!telemetry_interval ~file ~sizes:!sizes ()
-  | None ->
-    if !telemetry <> None then begin
-      Printf.eprintf "--telemetry requires --json (the sampler rides along the bench report)\n";
-      exit 1
-    end
+  let json =
+    Arg.(
+      value
+      & opt (some string) None
+      & info [ "json" ] ~docv:"FILE" ~doc:"Write the machine-readable perf report to $(docv).")
+  in
+  let sizes =
+    Arg.(
+      value
+      & opt sizes_conv [ 500; 1000; 2000 ]
+      & info [ "sizes" ] ~docv:"N,..." ~doc:"Sizes of the --json index and graph sections.")
+  in
+  let scale =
+    Arg.(
+      value & opt sizes_conv [ 10_000 ]
+      & info [ "scale" ] ~docv:"N,..." ~doc:"Sizes of the --json scale section.")
+  in
+  let scale_only =
+    Arg.(value & flag & info [ "scale-only" ] ~doc:"Measure only the --json scale section.")
+  in
+  exit
+    (Cmd.eval'
+       (Cmd.v
+          (Cmd.info "bench" ~doc:"Reproduction experiments and the JSON perf report.")
+          Term.(const main $ ids $ json $ sizes $ scale $ scale_only $ Cli_obs.telemetry_term)))

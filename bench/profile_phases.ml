@@ -18,12 +18,10 @@
    phase *structure* (paths, counts, allocation) is the reproducible
    part. *)
 
-let ns_clock () = Int64.of_float (Unix.gettimeofday () *. 1e9)
-
 let () =
   let module Profile = Ron_obs.Profile in
   let module Indexed = Ron_metric.Indexed in
-  Profile.enable ~clock:ns_clock ();
+  Profile.enable ~clock:Cli_obs.ns_clock ();
   let sp_big = Ron_graph.Sp_metric.create (Ron_graph.Graph_gen.grid 31 31) in
   ignore (Ron_routing.Basic.build sp_big ~delta:0.25);
   let sp_small = Ron_graph.Sp_metric.create (Ron_graph.Graph_gen.grid 14 14) in

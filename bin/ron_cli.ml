@@ -4,9 +4,18 @@
      estimate    -- build a (0,delta)-triangulation / Thm 3.4 labels on a
                     generated metric and estimate sampled pairs
      route       -- run a routing scheme on a generated graph/metric
+     fault       -- route under deterministic fault injection
+     churn       -- route under seeded joins/leaves with ring repair
      smallworld  -- run small-world lookups
+     inspect     -- print substrate facts about a generated metric
+     serve       -- serve batched queries from a frozen snapshot
      experiment  -- run one of the named reproduction experiments
-     inspect     -- print substrate facts about a generated metric *)
+     check       -- validate a trace, telemetry or exposition file
+     report      -- summarize a trace, telemetry series or SLO verdict
+     diff        -- compare two bench reports and flag regressions
+
+   Every construction subcommand takes the shared observability flags of
+   Cli_obs; the read-side ones live in Read_cmds. *)
 
 open Cmdliner
 
@@ -18,33 +27,83 @@ module Net = Ron_metric.Net
 module Measure = Ron_metric.Measure
 module Doubling = Ron_metric.Doubling
 module Scheme = Ron_routing.Scheme
+module Counter = Ron_obs.Counter
+module Probe = Ron_obs.Probe
+module Flight = Ron_obs.Flight
+module Slo = Ron_obs.Slo
+
+let ( let* ) = Result.bind
+
+(* A validation error is a user error: the message on stderr, exit 2. *)
+let user_error = function
+  | Ok code -> code
+  | Error e ->
+    prerr_endline e;
+    2
+
+(* An enumerated flag: a bad value is a cmdliner usage error (exit 124)
+   that lists the valid ones. *)
+let enum_arg names alts ~default ~docv ~doc =
+  Arg.(
+    value
+    & opt (enum alts) default
+    & info names ~docv ~doc:(Printf.sprintf "%s: %s." doc (doc_alts_enum alts)))
+
+let keys table = List.map (fun (k, _) -> (k, k)) table
+
+(* Every construction subcommand runs under the shared observability
+   flags; [run] is the subcommand's own term. *)
+let obs_cmd name ~doc run =
+  Cmd.v (Cmd.info name ~doc) Term.(const Cli_obs.with_obs $ Cli_obs.term $ run)
 
 (* ------------------------------------------------------ metric selection *)
 
-let make_metric name n seed =
-  let rng = Rng.create seed in
-  match name with
-  | "cloud" -> Generators.random_cloud rng ~n ~dim:2
-  | "cloud3d" -> Generators.random_cloud rng ~n ~dim:3
-  | "grid" ->
-    let side = max 2 (int_of_float (sqrt (float_of_int n))) in
-    Generators.grid2d side side
-  | "expline" -> Generators.exponential_line (min n 48)
-  | "expclusters" ->
-    let clusters = max 2 (n / 16) in
-    Generators.exponential_clusters rng ~clusters ~per_cluster:(max 1 (n / clusters)) ~base:16.0
-  | "latency" ->
-    Generators.clustered_latency rng ~clusters:(max 2 (n / 40)) ~per_cluster:40 ~spread:30.0
-      ~access:6.0
-  | "ring" -> Metric.normalize (Generators.ring n)
-  | "line" -> Metric.normalize (Generators.uniform_line n)
-  | other -> failwith (Printf.sprintf "unknown metric family %S" other)
+let grid_side n = max 2 (int_of_float (sqrt (float_of_int n)))
 
-let metric_names = [ "cloud"; "cloud3d"; "grid"; "expline"; "expclusters"; "latency"; "ring"; "line" ]
+let metric_families =
+  [
+    ("cloud", fun rng n -> Generators.random_cloud rng ~n ~dim:2);
+    ("cloud3d", fun rng n -> Generators.random_cloud rng ~n ~dim:3);
+    ("grid", fun _ n -> Generators.grid2d (grid_side n) (grid_side n));
+    ("expline", fun _ n -> Generators.exponential_line (min n 48));
+    ( "expclusters",
+      fun rng n ->
+        let clusters = max 2 (n / 16) in
+        Generators.exponential_clusters rng ~clusters ~per_cluster:(max 1 (n / clusters))
+          ~base:16.0 );
+    ( "latency",
+      fun rng n ->
+        Generators.clustered_latency rng ~clusters:(max 2 (n / 40)) ~per_cluster:40 ~spread:30.0
+          ~access:6.0 );
+    ("ring", fun _ n -> Metric.normalize (Generators.ring n));
+    ("line", fun _ n -> Metric.normalize (Generators.uniform_line n));
+  ]
+
+let make_metric family n seed = List.assoc family metric_families (Rng.create seed) n
+
+let metric_substrate family n seed =
+  let idx = Indexed.create (make_metric family n seed) in
+  (idx, Indexed.size idx, Indexed.dist idx)
+
+(* The graph behind the graph-routing schemes: grid and expline have
+   their own generators, every other family is a random geometric graph. *)
+let make_graph family n seed =
+  let g =
+    match family with
+    | "grid" -> Ron_graph.Graph_gen.grid (grid_side n) (grid_side n)
+    | "expline" -> Ron_graph.Graph_gen.exponential_line_graph (min n 40)
+    | _ ->
+      Ron_graph.Graph_gen.random_geometric (Rng.create seed) ~n
+        ~radius:(2.0 /. sqrt (float_of_int n))
+  in
+  let sp = Ron_graph.Sp_metric.create g in
+  (sp, Ron_graph.Graph.size g, Ron_graph.Sp_metric.dist sp)
+
+let max_bits = Array.fold_left max 0
 
 let metric_arg =
-  let doc = Printf.sprintf "Metric family: %s." (String.concat ", " metric_names) in
-  Arg.(value & opt string "cloud" & info [ "m"; "metric" ] ~docv:"FAMILY" ~doc)
+  enum_arg [ "m"; "metric" ] (keys metric_families) ~default:"cloud" ~docv:"FAMILY"
+    ~doc:"Metric family"
 
 let n_arg = Arg.(value & opt int 128 & info [ "n" ] ~docv:"N" ~doc:"Number of nodes.")
 let seed_arg = Arg.(value & opt int 1 & info [ "s"; "seed" ] ~docv:"SEED" ~doc:"Random seed.")
@@ -55,195 +114,115 @@ let delta_arg =
 let pairs_arg =
   Arg.(value & opt int 500 & info [ "p"; "pairs" ] ~docv:"PAIRS" ~doc:"Number of sampled pairs.")
 
-(* --------------------------------------------------------- observability *)
+(* ------------------------------------------------ SLO monitor and flight *)
 
-let trace_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "trace" ] ~docv:"FILE" ~doc:"Write JSONL trace events to $(docv).")
+type slo_flags = {
+  slo : string option;
+  slo_out : string option;
+  slo_window : int;
+  flight : int;
+  flight_trace_every : int;
+}
 
-let metrics_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "metrics-out" ] ~docv:"FILE"
-        ~doc:
-          "Write an observability snapshot (counters, histograms, per-query costs) to $(docv) \
-           as JSON.")
+let slo_flags_term =
+  let slo =
+    Arg.(
+      value
+      & opt (some string) None
+      & info [ "slo" ] ~docv:"SPEC"
+          ~doc:
+            "Serving objectives, e.g. $(b,p99<=2us,delivery>=0.999): evaluate rolling query \
+             windows against the spec and report the per-window error-budget burn rate.")
+  in
+  let slo_out =
+    Cli_obs.file_arg "slo-out"
+      "Write the machine-readable SLO verdict (ron-slo/1 JSON, flight-recorder exemplars \
+       embedded) to $(docv). Requires $(b,--slo)."
+  in
+  let slo_window =
+    Arg.(
+      value & opt int 2000
+      & info [ "slo-window" ] ~docv:"Q" ~doc:"Queries per SLO evaluation window (default 2000).")
+  in
+  let flight =
+    Arg.(
+      value & opt int 0
+      & info [ "flight" ] ~docv:"K"
+          ~doc:
+            "Flight recorder: retain the $(docv) slowest queries of every recorder window with \
+             full context (0, the default, disables the recorder).")
+  in
+  let flight_trace_every =
+    Arg.(
+      value & opt int 32
+      & info [ "flight-trace-every" ] ~docv:"N"
+          ~doc:
+            "Capture the per-hop trace for one in $(docv) deterministically sampled queries \
+             (default 32; 0 disables trace capture).")
+  in
+  Term.(
+    const (fun slo slo_out slo_window flight flight_trace_every ->
+        { slo; slo_out; slo_window; flight; flight_trace_every })
+    $ slo $ slo_out $ slo_window $ flight $ flight_trace_every)
 
-let profile_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "profile" ] ~docv:"FILE"
-        ~doc:
-          "Write a hierarchical phase profile (wall time and GC deltas per construction/query \
-           phase) to $(docv) as JSON.")
-
-let telemetry_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "telemetry" ] ~docv:"FILE"
-        ~doc:
-          "Write periodic telemetry snapshots (counter deltas, gauges, bounded-histogram \
-           summaries, GC and RSS) to $(docv) as JSONL during the run.")
-
-let telemetry_interval_arg =
-  Arg.(
-    value
-    & opt int 500
-    & info [ "telemetry-interval" ] ~docv:"MS"
-        ~doc:"Telemetry sampling interval in milliseconds (default 500).")
-
-let expo_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "expo" ] ~docv:"FILE"
-        ~doc:
-          "Write the observability registry (counters, gauges, bucketed histograms, build \
-           info) to $(docv) in Prometheus text format — atomically rewritten on every \
-           telemetry tick (with $(b,--telemetry)) and once more at exit.")
-
-let slo_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "slo" ] ~docv:"SPEC"
-        ~doc:
-          "Serving objectives, e.g. $(b,p99<=2us,delivery>=0.999): evaluate rolling query \
-           windows against the spec and report the per-window error-budget burn rate.")
-
-let slo_out_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "slo-out" ] ~docv:"FILE"
-        ~doc:
-          "Write the machine-readable SLO verdict (ron-slo/1 JSON, flight-recorder exemplars \
-           embedded) to $(docv). Requires $(b,--slo).")
-
-let slo_window_arg =
-  Arg.(
-    value & opt int 2000
-    & info [ "slo-window" ] ~docv:"Q"
-        ~doc:"Queries per SLO evaluation window (default 2000).")
-
-let flight_arg =
-  Arg.(
-    value & opt int 0
-    & info [ "flight" ] ~docv:"K"
-        ~doc:
-          "Flight recorder: retain the $(docv) slowest queries of every recorder window with \
-           full context (0, the default, disables the recorder).")
-
-let flight_trace_every_arg =
-  Arg.(
-    value & opt int 32
-    & info [ "flight-trace-every" ] ~docv:"N"
-        ~doc:
-          "Capture the per-hop trace for one in $(docv) deterministically sampled queries \
-           (default 32; 0 disables trace capture).")
-
-(* Validate the SLO/flight flag set and build the observers; [Error] is a
-   user error (stderr + exit 2 at the caller). *)
-let make_observers ~slo ~slo_out ~slo_window ~flight ~flight_trace_every =
-  if slo_window < 1 then Error "--slo-window must be >= 1"
-  else if flight < 0 then Error "--flight must be >= 0"
-  else if flight_trace_every < 0 then Error "--flight-trace-every must be >= 0"
-  else if slo_out <> None && slo = None then Error "--slo-out requires --slo"
+(* Validate the SLO/flight flag set and build the monitor and recorder. *)
+let make_observers o =
+  if o.slo_window < 1 then Error "--slo-window must be >= 1"
+  else if o.flight < 0 then Error "--flight must be >= 0"
+  else if o.flight_trace_every < 0 then Error "--flight-trace-every must be >= 0"
+  else if o.slo_out <> None && o.slo = None then Error "--slo-out requires --slo"
   else
+    let* () = Cli_obs.check_writable "--slo-out" o.slo_out in
     let flight_rec =
-      if flight > 0 then
-        Some (Ron_obs.Flight.create ~per_window:flight ~trace_every:flight_trace_every ())
+      if o.flight > 0 then
+        Some (Flight.create ~per_window:o.flight ~trace_every:o.flight_trace_every ())
       else None
     in
-    match slo with
+    match o.slo with
     | None -> Ok (None, flight_rec)
     | Some spec -> (
-      match Ron_obs.Slo.parse spec with
+      match Slo.parse spec with
       | Error e -> Error (Printf.sprintf "--slo %S: %s" spec e)
-      | Ok objs -> Ok (Some (Ron_obs.Slo.create ~window:slo_window objs), flight_rec))
+      | Ok objs -> Ok (Some (Slo.create ~window:o.slo_window objs), flight_rec))
 
-let jobs_arg =
-  Arg.(
-    value
-    & opt (some int) None
-    & info [ "j"; "jobs" ] ~docv:"N"
-        ~doc:
-          "Worker domains for parallel construction (overrides RON_JOBS). Results are \
-           bit-identical at every job count.")
+(* The flight and SLO summary lines and the --slo-out verdict. Only a
+   frozen-scheme recorder captures per-hop traces, so only serve counts
+   them ([traced]). *)
+let report_observers ~traced o (slo_mon, flight_rec) =
+  Option.iter Slo.finish slo_mon;
+  Option.iter
+    (fun fr ->
+      let ex = Flight.exemplar_count fr in
+      if !Probe.on then Probe.flight_exemplar_level ex;
+      let with_trace (_, es) = List.filter (fun x -> x.Flight.x_trace <> None) es in
+      Printf.printf "flight recorded=%d exemplars=%d%s\n" (Flight.recorded fr) ex
+        (if traced then
+           Printf.sprintf " traced=%d" (List.length (List.concat_map with_trace (Flight.dump fr)))
+         else ""))
+    flight_rec;
+  Option.iter
+    (fun s ->
+      Printf.printf "slo %s: windows=%d violated=%d max_burn=%.3g ok=%b\n" (Slo.spec s)
+        (Slo.windows_closed s) (Slo.violated_windows s) (Slo.max_burn s) (Slo.ok s);
+      Option.iter
+        (fun file ->
+          let flight = Option.map Flight.to_json flight_rec in
+          Out_channel.with_open_text file (fun oc ->
+              output_string oc (Ron_obs.Json.to_string (Slo.to_json ?flight s))))
+        o.slo_out)
+    slo_mon
 
-let set_jobs jobs =
-  match jobs with
-  | Some j when j < 1 -> failwith "--jobs must be >= 1"
-  | _ -> Ron_util.Pool.set_default_jobs jobs
+(* Snapshot named counters; [print_deltas] later prints how far each moved. *)
+let counters_now named = List.map (fun (name, c) -> (name, c, Counter.value c)) named
 
-let ns_clock () = Int64.of_float (Unix.gettimeofday () *. 1e9)
-
-(* Shared by every subcommand: configure the trace sink, the phase
-   profiler, the telemetry sampler, the exposition writer, and/or the
-   probes, run, then write the snapshot/profile/exposition and close the
-   sinks (also on error, so a crashed run still leaves its artifacts on
-   disk). Flag validation errors are user errors: stderr + exit 2, never
-   an uncaught exception. *)
-let with_obs trace metrics profile telemetry telemetry_interval expo f =
-  if telemetry_interval < 1 then begin
-    Printf.eprintf "--telemetry-interval %d: the interval must be >= 1 (milliseconds)\n"
-      telemetry_interval;
-    2
-  end
-  else
-    (* Probe the exposition path up front: the first atomic write
-       exercises both the temp file and the rename, so a bad path fails
-       before any expensive construction. *)
-    match
-      match expo with
-      | Some file -> ( try Ok (Ron_obs.Expo.write file) with Sys_error e -> Error e)
-      | None -> Ok ()
-    with
-    | Error e ->
-      Printf.eprintf "--expo: %s\n" e;
-      2
-    | Ok () ->
-      (match trace with
-      | Some file ->
-        Ron_obs.Trace.configure ~clock:ns_clock (Ron_obs.Trace.channel_sink (open_out file))
-      | None -> ());
-      (match profile with
-      | Some _ -> Ron_obs.Profile.enable ~clock:ns_clock ()
-      | None -> ());
-      (match telemetry with
-      | Some file ->
-        Ron_obs.Telemetry.start ~clock:ns_clock
-          ~interval:(Int64.of_int (telemetry_interval * 1_000_000))
-          ?expo
-          (Ron_obs.Trace.channel_sink (open_out file))
-      | None -> ());
-      (* Telemetry and exposition need the probes on: counters, gauges and
-         bucketed histograms are all recorded behind [Probe.on]. *)
-      if trace <> None || metrics <> None || telemetry <> None || expo <> None then
-        Ron_obs.enable ();
-      Fun.protect
-        ~finally:(fun () ->
-          (match metrics with Some file -> Ron_obs.write_snapshot file | None -> ());
-          (match expo with Some file -> Ron_obs.Expo.write file | None -> ());
-          (match profile with
-          | Some file ->
-            Ron_obs.Profile.write file;
-            Ron_obs.Profile.disable ()
-          | None -> ());
-          Ron_obs.Telemetry.stop ();
-          Ron_obs.Trace.stop ())
-        f
+let print_deltas label base =
+  Printf.printf "  %s:" label;
+  List.iter (fun (name, c, v0) -> Printf.printf " %s %d" name (Counter.value c - v0)) base;
+  print_newline ()
 
 (* -------------------------------------------------------------- estimate *)
 
-let run_estimate trace metrics profile telemetry telemetry_interval expo jobs family n seed delta pairs =
-  set_jobs jobs;
-  with_obs trace metrics profile telemetry telemetry_interval expo @@ fun () ->
+let run_estimate family n seed delta pairs () =
   let idx = Indexed.create (make_metric family n seed) in
   let n = Indexed.size idx in
   Printf.printf "metric=%s n=%d log2(aspect)=%d\n" family n (Indexed.log2_aspect_ratio idx);
@@ -270,22 +249,20 @@ let run_estimate trace metrics profile telemetry telemetry_interval expo jobs fa
   0
 
 let estimate_cmd =
-  let doc = "Distance estimation: Theorem 3.2 triangulation + Theorem 3.4 labels." in
-  Cmd.v (Cmd.info "estimate" ~doc)
-    Term.(
-      const run_estimate $ trace_arg $ metrics_arg $ profile_arg $ telemetry_arg $ telemetry_interval_arg $ expo_arg $ jobs_arg $ metric_arg $ n_arg $ seed_arg
-      $ delta_arg $ pairs_arg)
+  obs_cmd "estimate" ~doc:"Distance estimation: Theorem 3.2 triangulation + Theorem 3.4 labels."
+    Term.(const run_estimate $ metric_arg $ n_arg $ seed_arg $ delta_arg $ pairs_arg)
 
 (* ----------------------------------------------------------------- route *)
 
-let scheme_arg =
-  let doc = "Routing scheme: thm21 (graphs), thm41 (graphs), metric (Sec 4.1), thm42 (metric two-mode), trivial." in
-  Arg.(value & opt string "thm21" & info [ "scheme" ] ~docv:"SCHEME" ~doc)
+let route_scheme_arg =
+  enum_arg [ "scheme" ]
+    [ ("thm21", `Thm21); ("thm41", `Thm41); ("metric", `Metric); ("thm42", `Thm42); ("trivial", `Trivial) ]
+    ~default:`Thm21 ~docv:"SCHEME"
+    ~doc:
+      "Routing scheme — thm21 and thm41 on graphs, metric (Sec 4.1) and thm42 (two-mode) on \
+       metrics, trivial (full tables)"
 
-let run_route trace metrics profile telemetry telemetry_interval expo jobs family n seed delta pairs scheme =
-  set_jobs jobs;
-  with_obs trace metrics profile telemetry telemetry_interval expo @@ fun () ->
-  let rng = Rng.create seed in
+let run_route family n seed delta pairs scheme () =
   let report ?parallel name route dist max_table header n =
     let prs = Ron_experiments.Exp_common.sample_pairs (Rng.create (seed + 2)) ~n ~count:pairs in
     let q = Ron_experiments.Exp_common.collect_routes ?parallel ~route ~dist prs in
@@ -293,69 +270,57 @@ let run_route trace metrics profile telemetry telemetry_interval expo jobs famil
       (Ron_experiments.Exp_common.pp_quality q)
       (Ron_experiments.Exp_common.pp_observed q)
   in
-  begin
-    match scheme with
-    | "metric" | "thm42" ->
-      let idx = Indexed.create (make_metric family n seed) in
-      let nn = Indexed.size idx in
-      if scheme = "metric" then begin
-        let s = Ron_routing.On_metric.build idx ~delta in
-        report "Thm 2.1 on metric"
-          (fun u v -> Ron_routing.On_metric.route s ~src:u ~dst:v)
-          (fun u v -> Indexed.dist idx u v)
-          (Array.fold_left max 0 (Ron_routing.On_metric.table_bits s))
-          (Ron_routing.On_metric.header_bits s) nn
-      end
-      else begin
-        let s = Ron_routing.Two_mode.build idx ~delta:(Float.min delta 0.125) in
-        (* Two_mode.route counts mode switches in shared state: sequential. *)
-        report ~parallel:false "Thm 4.2 two-mode"
-          (fun u v -> Ron_routing.Two_mode.route s ~src:u ~dst:v)
-          (fun u v -> Indexed.dist idx u v)
-          (Array.fold_left max 0 (Ron_routing.Two_mode.table_bits_m1 s))
-          (Ron_routing.Two_mode.header_bits s) nn;
-        Printf.printf "  M2 switches: %d\n" (Ron_routing.Two_mode.mode2_switches s)
-      end
-    | "thm21" | "thm41" | "trivial" ->
-      let g =
-        match family with
-        | "grid" ->
-          let side = max 2 (int_of_float (sqrt (float_of_int n))) in
-          Ron_graph.Graph_gen.grid side side
-        | "expline" -> Ron_graph.Graph_gen.exponential_line_graph (min n 40)
-        | _ -> Ron_graph.Graph_gen.random_geometric rng ~n ~radius:(2.0 /. sqrt (float_of_int n))
-      in
-      let sp = Ron_graph.Sp_metric.create g in
-      let nn = Ron_graph.Graph.size g in
-      let dist u v = Ron_graph.Sp_metric.dist sp u v in
-      (match scheme with
-      | "thm21" ->
-        let s = Ron_routing.Basic.build sp ~delta:(Float.min delta 0.25) in
-        report "Thm 2.1" (fun u v -> Ron_routing.Basic.route s ~src:u ~dst:v) dist
-          (Array.fold_left max 0 (Ron_routing.Basic.table_bits s))
-          (Ron_routing.Basic.header_bits s) nn
-      | "thm41" ->
-        let s = Ron_routing.Labelled.build sp ~delta in
-        report "Thm 4.1" (fun u v -> Ron_routing.Labelled.route s ~src:u ~dst:v) dist
-          (Array.fold_left max 0 (Ron_routing.Labelled.table_bits s))
-          (Ron_routing.Labelled.header_bits s) nn
-      | _ ->
-        let s = Ron_routing.Full_table.build sp in
-        report "stretch-1 trivial" (fun u v -> Ron_routing.Full_table.route s ~src:u ~dst:v) dist
-          (Array.fold_left max 0 (Ron_routing.Full_table.table_bits s))
-          (Ron_routing.Full_table.header_bits s) nn)
-    | other -> failwith (Printf.sprintf "unknown scheme %S" other)
-  end;
+  (match scheme with
+  | `Metric ->
+    let idx, nn, dist = metric_substrate family n seed in
+    let s = Ron_routing.On_metric.build idx ~delta in
+    report "Thm 2.1 on metric"
+      (fun u v -> Ron_routing.On_metric.route s ~src:u ~dst:v)
+      dist
+      (max_bits (Ron_routing.On_metric.table_bits s))
+      (Ron_routing.On_metric.header_bits s) nn
+  | `Thm42 ->
+    let idx, nn, dist = metric_substrate family n seed in
+    let s = Ron_routing.Two_mode.build idx ~delta:(Float.min delta 0.125) in
+    (* Two_mode.route counts mode switches in shared state: sequential. *)
+    report ~parallel:false "Thm 4.2 two-mode"
+      (fun u v -> Ron_routing.Two_mode.route s ~src:u ~dst:v)
+      dist
+      (max_bits (Ron_routing.Two_mode.table_bits_m1 s))
+      (Ron_routing.Two_mode.header_bits s) nn;
+    Printf.printf "  M2 switches: %d\n" (Ron_routing.Two_mode.mode2_switches s)
+  | `Thm21 ->
+    let sp, nn, dist = make_graph family n seed in
+    let s = Ron_routing.Basic.build sp ~delta:(Float.min delta 0.25) in
+    report "Thm 2.1" (fun u v -> Ron_routing.Basic.route s ~src:u ~dst:v) dist
+      (max_bits (Ron_routing.Basic.table_bits s))
+      (Ron_routing.Basic.header_bits s) nn
+  | `Thm41 ->
+    let sp, nn, dist = make_graph family n seed in
+    let s = Ron_routing.Labelled.build sp ~delta in
+    report "Thm 4.1" (fun u v -> Ron_routing.Labelled.route s ~src:u ~dst:v) dist
+      (max_bits (Ron_routing.Labelled.table_bits s))
+      (Ron_routing.Labelled.header_bits s) nn
+  | `Trivial ->
+    let sp, nn, dist = make_graph family n seed in
+    let s = Ron_routing.Full_table.build sp in
+    report "stretch-1 trivial" (fun u v -> Ron_routing.Full_table.route s ~src:u ~dst:v) dist
+      (max_bits (Ron_routing.Full_table.table_bits s))
+      (Ron_routing.Full_table.header_bits s) nn);
   0
 
 let route_cmd =
-  let doc = "Compact (1+delta)-stretch routing (Theorems 2.1, 4.1, 4.2; Section 4.1)." in
-  Cmd.v (Cmd.info "route" ~doc)
+  obs_cmd "route" ~doc:"Compact (1+delta)-stretch routing (Theorems 2.1, 4.1, 4.2; Section 4.1)."
     Term.(
-      const run_route $ trace_arg $ metrics_arg $ profile_arg $ telemetry_arg $ telemetry_interval_arg $ expo_arg $ jobs_arg $ metric_arg $ n_arg $ seed_arg
-      $ delta_arg $ pairs_arg $ scheme_arg)
+      const run_route $ metric_arg $ n_arg $ seed_arg $ delta_arg $ pairs_arg $ route_scheme_arg)
 
 (* ----------------------------------------------------------------- fault *)
+
+(* The schemes with a wrapped (fault- and churn-aware) router. *)
+let wrapped_scheme_arg =
+  enum_arg [ "scheme" ]
+    [ ("thm21", `Thm21); ("thm41", `Thm41); ("thm42", `Thm42) ]
+    ~default:`Thm21 ~docv:"SCHEME" ~doc:"Routing scheme"
 
 let crash_arg =
   Arg.(
@@ -378,12 +343,9 @@ let fault_seed_arg =
     & info [ "fault-seed" ] ~docv:"SEED"
         ~doc:"Seed of the fault model's dedicated random stream (independent of --seed).")
 
-let run_fault trace metrics profile telemetry telemetry_interval expo jobs family n seed delta pairs scheme crash drop dead fseed =
-  set_jobs jobs;
-  with_obs trace metrics profile telemetry telemetry_interval expo @@ fun () ->
+let run_fault family n seed delta pairs scheme crash drop dead fseed () =
   let module Fault = Ron_fault.Fault in
   let module C = Ron_experiments.Exp_common in
-  let rng = Rng.create seed in
   let report ?parallel name route_wrapped dist nn =
     let fault = Fault.make ~seed:fseed ~crash_fraction:crash ~drop_rate:drop
         ~dead_link_fraction:dead ~n:nn ()
@@ -393,17 +355,15 @@ let run_fault trace metrics profile telemetry telemetry_interval expo jobs famil
         (fun (u, v) -> not (Fault.crashed fault u || Fault.crashed fault v))
         (C.sample_pairs (Rng.create (seed + 2)) ~n:nn ~count:pairs)
     in
-    let module Counter = Ron_obs.Counter in
-    let module Probe = Ron_obs.Probe in
-    let before name c = (name, Counter.value c) in
     let base =
-      [
-        before "drops injected" Probe.fault_drops;
-        before "crashed hits" Probe.fault_crashed_hits;
-        before "dead-link hits" Probe.fault_dead_links;
-        before "retries" Probe.fault_retries;
-        before "detours" Probe.fault_detours;
-      ]
+      counters_now
+        [
+          ("drops injected", Probe.fault_drops);
+          ("crashed hits", Probe.fault_crashed_hits);
+          ("dead-link hits", Probe.fault_dead_links);
+          ("retries", Probe.fault_retries);
+          ("detours", Probe.fault_detours);
+        ]
     in
     let q =
       C.collect_routes_keyed ?parallel
@@ -416,70 +376,34 @@ let run_fault trace metrics profile telemetry telemetry_interval expo jobs famil
     Printf.printf "  delivery rate %.3f (%d/%d live pairs)\n"
       (float_of_int delivered /. float_of_int (max 1 q.C.queries))
       delivered q.C.queries;
-    Printf.printf "  fault events:";
-    List.iter
-      (fun (nm, v0) ->
-        let c =
-          match nm with
-          | "drops injected" -> Probe.fault_drops
-          | "crashed hits" -> Probe.fault_crashed_hits
-          | "dead-link hits" -> Probe.fault_dead_links
-          | "retries" -> Probe.fault_retries
-          | _ -> Probe.fault_detours
-        in
-        Printf.printf " %s %d" nm (Counter.value c - v0))
-      base;
-    print_newline ()
+    print_deltas "fault events" base
   in
-  begin
-    match scheme with
-    | "thm42" ->
-      let idx = Indexed.create (make_metric family n seed) in
-      let nn = Indexed.size idx in
-      let s = Ron_routing.Two_mode.build idx ~delta:(Float.min delta 0.125) in
-      (* Two_mode.route counts mode switches in shared state: sequential. *)
-      report ~parallel:false "Thm 4.2 two-mode"
-        (fun w u v -> Ron_routing.Two_mode.route_wrapped w s ~src:u ~dst:v)
-        (fun u v -> Indexed.dist idx u v)
-        nn
-    | "thm21" | "thm41" ->
-      let g =
-        match family with
-        | "grid" ->
-          let side = max 2 (int_of_float (sqrt (float_of_int n))) in
-          Ron_graph.Graph_gen.grid side side
-        | "expline" -> Ron_graph.Graph_gen.exponential_line_graph (min n 40)
-        | _ -> Ron_graph.Graph_gen.random_geometric rng ~n ~radius:(2.0 /. sqrt (float_of_int n))
-      in
-      let sp = Ron_graph.Sp_metric.create g in
-      let nn = Ron_graph.Graph.size g in
-      let dist u v = Ron_graph.Sp_metric.dist sp u v in
-      if scheme = "thm21" then begin
-        let s = Ron_routing.Basic.build sp ~delta:(Float.min delta 0.25) in
-        report "Thm 2.1"
-          (fun w u v -> Ron_routing.Basic.route_wrapped w s ~src:u ~dst:v)
-          dist nn
-      end
-      else begin
-        let s = Ron_routing.Labelled.build sp ~delta in
-        report "Thm 4.1"
-          (fun w u v -> Ron_routing.Labelled.route_wrapped w s ~src:u ~dst:v)
-          dist nn
-      end
-    | other -> failwith (Printf.sprintf "unknown scheme %S (fault supports thm21, thm41, thm42)" other)
-  end;
+  (match scheme with
+  | `Thm42 ->
+    let idx, nn, dist = metric_substrate family n seed in
+    let s = Ron_routing.Two_mode.build idx ~delta:(Float.min delta 0.125) in
+    (* Two_mode.route counts mode switches in shared state: sequential. *)
+    report ~parallel:false "Thm 4.2 two-mode"
+      (fun w u v -> Ron_routing.Two_mode.route_wrapped w s ~src:u ~dst:v)
+      dist nn
+  | `Thm21 ->
+    let sp, nn, dist = make_graph family n seed in
+    let s = Ron_routing.Basic.build sp ~delta:(Float.min delta 0.25) in
+    report "Thm 2.1" (fun w u v -> Ron_routing.Basic.route_wrapped w s ~src:u ~dst:v) dist nn
+  | `Thm41 ->
+    let sp, nn, dist = make_graph family n seed in
+    let s = Ron_routing.Labelled.build sp ~delta in
+    report "Thm 4.1" (fun w u v -> Ron_routing.Labelled.route_wrapped w s ~src:u ~dst:v) dist nn);
   0
 
 let fault_cmd =
-  let doc =
-    "Route under deterministic fault injection (crashed nodes, message drop, dead links) with \
-     graceful-degradation fallbacks."
-  in
-  Cmd.v (Cmd.info "fault" ~doc)
+  obs_cmd "fault"
+    ~doc:
+      "Route under deterministic fault injection (crashed nodes, message drop, dead links) with \
+       graceful-degradation fallbacks."
     Term.(
-      const run_fault $ trace_arg $ metrics_arg $ profile_arg $ telemetry_arg $ telemetry_interval_arg $ expo_arg $ jobs_arg $ metric_arg $ n_arg $ seed_arg
-      $ delta_arg $ pairs_arg $ scheme_arg $ crash_arg $ drop_arg $ dead_links_arg
-      $ fault_seed_arg)
+      const run_fault $ metric_arg $ n_arg $ seed_arg $ delta_arg $ pairs_arg $ wrapped_scheme_arg
+      $ crash_arg $ drop_arg $ dead_links_arg $ fault_seed_arg)
 
 (* ----------------------------------------------------------------- churn *)
 
@@ -506,23 +430,14 @@ let slots_arg =
     value & opt int 120
     & info [ "slots" ] ~docv:"SLOTS" ~doc:"Event slots in the churn schedule.")
 
-let run_churn trace metrics profile telemetry telemetry_interval expo jobs family n seed delta pairs
-    scheme jrate lrate cseed slots crash drop dead fseed slo slo_out slo_window flight
-    flight_trace_every =
-  set_jobs jobs;
-  with_obs trace metrics profile telemetry telemetry_interval expo @@ fun () ->
+let run_churn family n seed delta pairs scheme jrate lrate cseed slots crash drop dead fseed
+    flags () =
   let module Churn = Ron_churn.Churn in
   let module Fault = Ron_fault.Fault in
-  let module Scheme = Ron_routing.Scheme in
   let module C = Ron_experiments.Exp_common in
-  let module Counter = Ron_obs.Counter in
-  let module Probe = Ron_obs.Probe in
-  match make_observers ~slo ~slo_out ~slo_window ~flight ~flight_trace_every with
-  | Error e ->
-    prerr_endline e;
-    2
-  | Ok (slo_mon, flight_rec) ->
-  let rng = Rng.create seed in
+  user_error
+  @@
+  let* ((slo_mon, flight_rec) as observers) = make_observers flags in
   let report ?parallel name ~tag ~make_repair route_wrapped dist nn =
     let sched =
       Churn.Schedule.make ~seed:cseed ~n:nn ~slots ~join_rate:jrate ~leave_rate:lrate ()
@@ -560,12 +475,8 @@ let run_churn trace metrics profile telemetry telemetry_interval expo jobs famil
       | None -> cw
       | Some f -> Scheme.compose (Fault.wrapper f ~query) cw
     in
-    let before name c = (name, c, Counter.value c) in
     let base =
-      [
-        before "stale hits" Probe.churn_stale_hits;
-        before "detours" Probe.churn_detours;
-      ]
+      counters_now [ ("stale hits", Probe.churn_stale_hits); ("detours", Probe.churn_detours) ]
     in
     let q =
       C.collect_routes_keyed ?parallel
@@ -587,11 +498,7 @@ let run_churn trace metrics profile telemetry telemetry_interval expo jobs famil
       summary.Churn.Driver.cost.Churn.relabels ev
       (float_of_int summary.Churn.Driver.cost.Churn.updates /. float_of_int (max 1 ev))
       (stale_after ());
-    Printf.printf "  churn events:";
-    List.iter
-      (fun (nm, c, v0) -> Printf.printf " %s %d" nm (Counter.value c - v0))
-      base;
-    print_newline ();
+    print_deltas "churn events" base;
     (* Observed pass for the SLO monitor / flight recorder: sequential and
        wall-clocked — the monitor is single-feeder state, and the live
        churn schemes have no frozen scratch, so exemplars carry full
@@ -614,152 +521,114 @@ let run_churn trace metrics profile telemetry telemetry_interval expo jobs famil
               | Scheme.Cycled -> 3
               | Scheme.Dropped -> 4
             in
-            Ron_obs.Flight.record fr ~qid:i ~scheme:tag ~kind:0 ~src:u ~dst:v ~outcome
+            Flight.record fr ~qid:i ~scheme:tag ~kind:0 ~src:u ~dst:v ~outcome
               ~hops:r.Scheme.hops ~lat:lat_ns ~trace:[||] ~trace_len:(-1)
           | None -> ());
           match slo_mon with
-          | Some s -> Ron_obs.Slo.observe s ~lat:(float_of_int lat_ns) ~ok:r.Scheme.delivered
+          | Some s -> Slo.observe s ~lat:(float_of_int lat_ns) ~ok:r.Scheme.delivered
           | None -> ())
         prs
   in
-  begin
-    match scheme with
-    | "thm42" ->
-      let idx = Indexed.create (make_metric family n seed) in
-      let nn = Indexed.size idx in
-      let s = Ron_routing.Two_mode.build idx ~delta:(Float.min delta 0.125) in
-      let x = Ron_routing.Two_mode.export s in
-      let rows =
-        Array.init nn (fun u ->
-            let dirs = ref [] in
-            for i = Array.length x.Ron_routing.Two_mode.x_hub_g - 1 downto 0 do
-              let g = x.Ron_routing.Two_mode.x_hub_g.(i).(u) in
-              if g >= 0 then
-                dirs := x.Ron_routing.Two_mode.x_dir_members.(g) :: !dirs
-            done;
-            Array.concat (x.Ron_routing.Two_mode.x_hub_ptr.(u) :: !dirs))
-      in
-      let scales = Array.length x.Ron_routing.Two_mode.x_hub_g in
-      report ~parallel:false "Thm 4.2 two-mode" ~tag:3
-        ~make_repair:(fun st ->
-          let ov = Churn.Overlay.create st rows ~relabel_cost:(fun _ -> scales) in
-          ( (fun v -> Churn.Overlay.leave ov v),
-            (fun v -> Churn.Overlay.join ov v),
-            Some (fun () -> Churn.Overlay.backlog ov),
-            fun () -> Churn.Overlay.stale_entries ov ))
-        (fun w u v -> Ron_routing.Two_mode.route_wrapped w s ~src:u ~dst:v)
-        (fun u v -> Indexed.dist idx u v)
-        nn
-    | "thm21" | "thm41" ->
-      let g =
-        match family with
-        | "grid" ->
-          let side = max 2 (int_of_float (sqrt (float_of_int n))) in
-          Ron_graph.Graph_gen.grid side side
-        | "expline" -> Ron_graph.Graph_gen.exponential_line_graph (min n 40)
-        | _ -> Ron_graph.Graph_gen.random_geometric rng ~n ~radius:(2.0 /. sqrt (float_of_int n))
-      in
-      let sp = Ron_graph.Sp_metric.create g in
-      let nn = Ron_graph.Graph.size g in
-      let dist u v = Ron_graph.Sp_metric.dist sp u v in
-      if scheme = "thm21" then begin
-        let s = Ron_routing.Basic.build sp ~delta:(Float.min delta 0.25) in
-        report "Thm 2.1" ~tag:1
-          ~make_repair:(fun st ->
-            let rr =
-              Churn.Ring_repair.create st (Ron_routing.Basic.substrate s)
-                (Ron_routing.Basic.rings_collection s)
-            in
-            ( (fun v -> Churn.Ring_repair.leave rr v),
-              (fun v -> Churn.Ring_repair.join rr v),
-              None,
-              fun () -> Churn.Ring_repair.stale_members rr ))
-          (fun w u v -> Ron_routing.Basic.route_wrapped w s ~src:u ~dst:v)
-          dist nn
-      end
-      else begin
-        let s = Ron_routing.Labelled.build sp ~delta in
-        let rows = Array.init nn (fun u -> Ron_routing.Labelled.neighbors s u) in
-        report "Thm 4.1" ~tag:2
-          ~make_repair:(fun st ->
-            let ov =
-              Churn.Overlay.create st rows
-                ~relabel_cost:(fun v -> Array.length rows.(v))
-            in
-            ( (fun v -> Churn.Overlay.leave ov v),
-              (fun v -> Churn.Overlay.join ov v),
-              Some (fun () -> Churn.Overlay.backlog ov),
-              fun () -> Churn.Overlay.stale_entries ov ))
-          (fun w u v -> Ron_routing.Labelled.route_wrapped w s ~src:u ~dst:v)
-          dist nn
-      end
-    | other -> failwith (Printf.sprintf "unknown scheme %S (churn supports thm21, thm41, thm42)" other)
-  end;
-  (match slo_mon with Some s -> Ron_obs.Slo.finish s | None -> ());
-  (match flight_rec with
-  | Some fr ->
-    let ex = Ron_obs.Flight.exemplar_count fr in
-    if !Probe.on then Probe.flight_exemplar_level ex;
-    Printf.printf "flight recorded=%d exemplars=%d\n" (Ron_obs.Flight.recorded fr) ex
-  | None -> ());
-  (match slo_mon with
-  | Some s ->
-    Printf.printf "slo %s: windows=%d violated=%d max_burn=%.3g ok=%b\n"
-      (Ron_obs.Slo.spec s) (Ron_obs.Slo.windows_closed s) (Ron_obs.Slo.violated_windows s)
-      (Ron_obs.Slo.max_burn s) (Ron_obs.Slo.ok s);
-    (match slo_out with
-    | Some file ->
-      let fj = Option.map Ron_obs.Flight.to_json flight_rec in
-      let oc = open_out file in
-      Fun.protect
-        ~finally:(fun () -> close_out oc)
-        (fun () ->
-          output_string oc (Ron_obs.Json.to_string (Ron_obs.Slo.to_json ?flight:fj s)))
-    | None -> ())
-  | None -> ());
-  0
+  (match scheme with
+  | `Thm42 ->
+    let idx, nn, dist = metric_substrate family n seed in
+    let s = Ron_routing.Two_mode.build idx ~delta:(Float.min delta 0.125) in
+    let x = Ron_routing.Two_mode.export s in
+    let rows =
+      Array.init nn (fun u ->
+          let dirs = ref [] in
+          for i = Array.length x.Ron_routing.Two_mode.x_hub_g - 1 downto 0 do
+            let g = x.Ron_routing.Two_mode.x_hub_g.(i).(u) in
+            if g >= 0 then
+              dirs := x.Ron_routing.Two_mode.x_dir_members.(g) :: !dirs
+          done;
+          Array.concat (x.Ron_routing.Two_mode.x_hub_ptr.(u) :: !dirs))
+    in
+    let scales = Array.length x.Ron_routing.Two_mode.x_hub_g in
+    report ~parallel:false "Thm 4.2 two-mode" ~tag:3
+      ~make_repair:(fun st ->
+        let ov = Churn.Overlay.create st rows ~relabel_cost:(fun _ -> scales) in
+        ( (fun v -> Churn.Overlay.leave ov v),
+          (fun v -> Churn.Overlay.join ov v),
+          Some (fun () -> Churn.Overlay.backlog ov),
+          fun () -> Churn.Overlay.stale_entries ov ))
+      (fun w u v -> Ron_routing.Two_mode.route_wrapped w s ~src:u ~dst:v)
+      dist nn
+  | `Thm21 ->
+    let sp, nn, dist = make_graph family n seed in
+    let s = Ron_routing.Basic.build sp ~delta:(Float.min delta 0.25) in
+    report "Thm 2.1" ~tag:1
+      ~make_repair:(fun st ->
+        let rr =
+          Churn.Ring_repair.create st (Ron_routing.Basic.substrate s)
+            (Ron_routing.Basic.rings_collection s)
+        in
+        ( (fun v -> Churn.Ring_repair.leave rr v),
+          (fun v -> Churn.Ring_repair.join rr v),
+          None,
+          fun () -> Churn.Ring_repair.stale_members rr ))
+      (fun w u v -> Ron_routing.Basic.route_wrapped w s ~src:u ~dst:v)
+      dist nn
+  | `Thm41 ->
+    let sp, nn, dist = make_graph family n seed in
+    let s = Ron_routing.Labelled.build sp ~delta in
+    let rows = Array.init nn (fun u -> Ron_routing.Labelled.neighbors s u) in
+    report "Thm 4.1" ~tag:2
+      ~make_repair:(fun st ->
+        let ov =
+          Churn.Overlay.create st rows
+            ~relabel_cost:(fun v -> Array.length rows.(v))
+        in
+        ( (fun v -> Churn.Overlay.leave ov v),
+          (fun v -> Churn.Overlay.join ov v),
+          Some (fun () -> Churn.Overlay.backlog ov),
+          fun () -> Churn.Overlay.stale_entries ov ))
+      (fun w u v -> Ron_routing.Labelled.route_wrapped w s ~src:u ~dst:v)
+      dist nn);
+  report_observers ~traced:false flags observers;
+  Ok 0
 
 let churn_cmd =
-  let doc =
-    "Route under dynamic membership (seeded joins/leaves) with incremental ring repair; \
-     composable with the fault-injection flags."
-  in
-  Cmd.v (Cmd.info "churn" ~doc)
+  obs_cmd "churn"
+    ~doc:
+      "Route under dynamic membership (seeded joins/leaves) with incremental ring repair; \
+       composable with the fault-injection flags."
     Term.(
-      const run_churn $ trace_arg $ metrics_arg $ profile_arg $ telemetry_arg $ telemetry_interval_arg $ expo_arg $ jobs_arg $ metric_arg $ n_arg $ seed_arg
-      $ delta_arg $ pairs_arg $ scheme_arg $ join_rate_arg $ leave_rate_arg $ churn_seed_arg
-      $ slots_arg $ crash_arg $ drop_arg $ dead_links_arg $ fault_seed_arg
-      $ slo_arg $ slo_out_arg $ slo_window_arg $ flight_arg $ flight_trace_every_arg)
+      const run_churn $ metric_arg $ n_arg $ seed_arg $ delta_arg $ pairs_arg
+      $ wrapped_scheme_arg $ join_rate_arg $ leave_rate_arg $ churn_seed_arg $ slots_arg
+      $ crash_arg $ drop_arg $ dead_links_arg $ fault_seed_arg $ slo_flags_term)
 
 (* ------------------------------------------------------------ smallworld *)
 
-let model_arg =
-  let doc = "Small-world model: a (Thm 5.2a), b (Thm 5.2b), structures, single (Thm 5.5 needs grid)." in
-  Arg.(value & opt string "a" & info [ "model" ] ~docv:"MODEL" ~doc)
+(* Each model builds from (index, doubling measure, rng) to a router and
+   its (max, mean) out-degree. *)
+let sw_models =
+  let module Sw = Ron_smallworld in
+  [
+    ( "a",
+      fun idx mu rng ->
+        let m = Sw.Doubling_a.build idx mu rng in
+        ((fun u v -> Sw.Doubling_a.route m ~src:u ~dst:v ~max_hops:300), Sw.Doubling_a.out_degree m) );
+    ( "b",
+      fun idx mu rng ->
+        let m = Sw.Doubling_b.build idx mu rng in
+        ((fun u v -> Sw.Doubling_b.route m ~src:u ~dst:v ~max_hops:300), Sw.Doubling_b.out_degree m) );
+    ( "structures",
+      fun idx _ rng ->
+        let m = Sw.Structures.build idx rng in
+        ((fun u v -> Sw.Structures.route m ~src:u ~dst:v ~max_hops:300), Sw.Structures.out_degree m) );
+  ]
 
-let run_smallworld trace metrics profile telemetry telemetry_interval expo jobs family n seed pairs model =
-  set_jobs jobs;
-  with_obs trace metrics profile telemetry telemetry_interval expo @@ fun () ->
+let model_arg =
+  enum_arg [ "model" ] (keys sw_models) ~default:"a" ~docv:"MODEL"
+    ~doc:"Small-world model — a (Thm 5.2a), b (Thm 5.2b) or structures"
+
+let run_smallworld family n seed pairs model () =
   let idx = Indexed.create (make_metric family n seed) in
   let nn = Indexed.size idx in
   let mu = Measure.create idx (Net.Hierarchy.create idx) in
   let rng = Rng.create (seed + 3) in
-  let route, (deg_max, deg_mean) =
-    match model with
-    | "a" ->
-      let m = Ron_smallworld.Doubling_a.build idx mu (Rng.split rng) in
-      ((fun u v -> Ron_smallworld.Doubling_a.route m ~src:u ~dst:v ~max_hops:300),
-       Ron_smallworld.Doubling_a.out_degree m)
-    | "b" ->
-      let m = Ron_smallworld.Doubling_b.build idx mu (Rng.split rng) in
-      ((fun u v -> Ron_smallworld.Doubling_b.route m ~src:u ~dst:v ~max_hops:300),
-       Ron_smallworld.Doubling_b.out_degree m)
-    | "structures" ->
-      let m = Ron_smallworld.Structures.build idx (Rng.split rng) in
-      ((fun u v -> Ron_smallworld.Structures.route m ~src:u ~dst:v ~max_hops:300),
-       Ron_smallworld.Structures.out_degree m)
-    | other -> failwith (Printf.sprintf "unknown model %S" other)
-  in
+  let route, (deg_max, deg_mean) = List.assoc model sw_models idx mu (Rng.split rng) in
   Printf.printf "model=%s n=%d out-degree max=%d mean=%.1f\n" model nn deg_max deg_mean;
   let fails = ref 0 and hmax = ref 0 and hsum = ref 0 and ok = ref 0 and ng = ref 0 in
   for _ = 1 to pairs do
@@ -781,17 +650,12 @@ let run_smallworld trace metrics profile telemetry telemetry_interval expo jobs 
   0
 
 let smallworld_cmd =
-  let doc = "Searchable small worlds on doubling metrics (Theorem 5.2, Section 5.2)." in
-  Cmd.v (Cmd.info "smallworld" ~doc)
-    Term.(
-      const run_smallworld $ trace_arg $ metrics_arg $ profile_arg $ telemetry_arg $ telemetry_interval_arg $ expo_arg $ jobs_arg $ metric_arg $ n_arg $ seed_arg
-      $ pairs_arg $ model_arg)
+  obs_cmd "smallworld" ~doc:"Searchable small worlds on doubling metrics (Theorem 5.2, Section 5.2)."
+    Term.(const run_smallworld $ metric_arg $ n_arg $ seed_arg $ pairs_arg $ model_arg)
 
 (* --------------------------------------------------------------- inspect *)
 
-let run_inspect trace metrics profile telemetry telemetry_interval expo jobs family n seed =
-  set_jobs jobs;
-  with_obs trace metrics profile telemetry telemetry_interval expo @@ fun () ->
+let run_inspect family n seed () =
   let m = make_metric family n seed in
   (match Metric.check m with
   | Ok () -> ()
@@ -816,31 +680,21 @@ let run_inspect trace metrics profile telemetry telemetry_interval expo jobs fam
   0
 
 let inspect_cmd =
-  let doc = "Print substrate facts (dimension, nets, doubling measure) about a metric." in
-  Cmd.v (Cmd.info "inspect" ~doc)
-    Term.(const run_inspect $ trace_arg $ metrics_arg $ profile_arg $ telemetry_arg $ telemetry_interval_arg $ expo_arg $ jobs_arg $ metric_arg $ n_arg $ seed_arg)
+  obs_cmd "inspect" ~doc:"Print substrate facts (dimension, nets, doubling measure) about a metric."
+    Term.(const run_inspect $ metric_arg $ n_arg $ seed_arg)
 
 (* ----------------------------------------------------------------- serve *)
 
 let serve_scheme_arg =
-  let doc =
-    Printf.sprintf "Scheme to serve: %s." (String.concat ", " Ron_serve.Fixture.names)
-  in
-  Arg.(value & opt string "basic" & info [ "scheme" ] ~docv:"SCHEME" ~doc)
+  enum_arg [ "scheme" ]
+    (List.map (fun k -> (k, k)) Ron_serve.Fixture.names)
+    ~default:"basic" ~docv:"SCHEME" ~doc:"Scheme to serve"
 
 let snapshot_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "snapshot" ] ~docv:"FILE"
-        ~doc:"Freeze the built scheme into an off-heap snapshot at $(docv).")
+  Cli_obs.file_arg "snapshot" "Freeze the built scheme into an off-heap snapshot at $(docv)."
 
 let load_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "load" ] ~docv:"FILE"
-        ~doc:"Serve from an existing snapshot instead of building (cold start).")
+  Cli_obs.file_arg "load" "Serve from an existing snapshot instead of building (cold start)."
 
 let queries_arg =
   Arg.(value & opt int 100_000 & info [ "queries" ] ~docv:"Q" ~doc:"Queries to serve.")
@@ -864,8 +718,6 @@ let mix_arg =
           "Traffic mix as comma-separated route,dist,locate weights (normalized; each scheme \
            collapses unsupported kinds onto its native operation).")
 
-(* Validation errors are user errors: report on stderr and exit 2, never an
-   uncaught exception (exit 125). [Error] carries the message. *)
 let parse_mix s =
   match String.split_on_char ',' s with
   | [ a; b; c ] -> (
@@ -881,41 +733,27 @@ let parse_mix s =
            "--mix %S: weights must be finite and non-negative with a positive sum" s))
   | _ -> Error "--mix expects three comma-separated weights, e.g. 0.6,0.3,0.1"
 
-let run_serve trace metrics profile telemetry telemetry_interval expo jobs scheme n seed snapshot
-    load queries batch zipf mix slo slo_out slo_window flight flight_trace_every =
-  set_jobs jobs;
-  with_obs trace metrics profile telemetry telemetry_interval expo @@ fun () ->
+let run_serve scheme n seed snapshot load queries batch zipf mix flags () =
   let module Server = Ron_serve.Server in
   let module Loop = Ron_serve.Loop in
-  match parse_mix mix with
-  | Error e ->
-    prerr_endline e;
-    2
-  | Ok (route_frac, dist_frac) ->
-  if not (Float.is_finite zipf && zipf > 0.0) then begin
-    Printf.eprintf "--zipf %g: the exponent must be finite and positive\n" zipf;
-    2
-  end
-  else if queries < 0 || batch < 0 then begin
-    Printf.eprintf "--queries and --batch must be non-negative\n";
-    2
-  end
-  else begin
-  match make_observers ~slo ~slo_out ~slo_window ~flight ~flight_trace_every with
-  | Error e ->
-    prerr_endline e;
-    2
-  | Ok (slo_mon, flight_rec) ->
-  let t =
+  user_error
+  @@
+  let* route_frac, dist_frac = parse_mix mix in
+  let* () =
+    if not (Float.is_finite zipf && zipf > 0.0) then
+      Error (Printf.sprintf "--zipf %g: the exponent must be finite and positive" zipf)
+    else if queries < 0 || batch < 0 then Error "--queries and --batch must be non-negative"
+    else Ok ()
+  in
+  let* ((slo_mon, flight_rec) as observers) = make_observers flags in
+  let* () = Cli_obs.check_writable "--snapshot" snapshot in
+  let* t =
     match load with
-    | Some file ->
-      (match Server.load file with
-      | Ok t -> t
-      | Error e -> failwith (Printf.sprintf "cannot load snapshot %s: %s" file e))
+    | Some file -> Result.map_error (fun e -> "--load: " ^ e) (Server.load file)
     | None ->
       let t = Ron_serve.Fixture.build ~scheme ~n ~seed in
-      (match snapshot with Some file -> Server.save t file | None -> ());
-      t
+      Option.iter (Server.save t) snapshot;
+      Ok t
   in
   let nodes = Server.size t in
   Printf.printf "serve scheme=%s nodes=%d snapshot=%d bytes (%.1f bytes/node)\n"
@@ -924,14 +762,13 @@ let run_serve trace metrics profile telemetry telemetry_interval expo jobs schem
   if queries = 0 || batch = 0 then begin
     (* Nothing to serve: an empty-but-valid report, not a spin or a crash. *)
     Printf.printf "queries=0 batch=%d elapsed=0.000s qps=0 digest=0\n" batch;
-    Printf.printf "latency p50=0ns p99=0ns p999=0ns\n";
-    0
+    Printf.printf "latency p50=0ns p99=0ns p999=0ns\n"
   end
   else begin
     let work = Loop.prepare t ~seed ~queries ~zipf_s:zipf ~route_frac ~dist_frac in
     let res = Loop.results_create queries in
     let t0 = Unix.gettimeofday () in
-    (match (slo_mon, flight_rec) with
+    (match observers with
     | None, None -> Loop.run ~batch t work res
     | _ -> Loop.run_observed ~batch ~wall:true ?flight:flight_rec ?slo:slo_mon t work res);
     let dt = Unix.gettimeofday () -. t0 in
@@ -942,85 +779,43 @@ let run_serve trace metrics profile telemetry telemetry_interval expo jobs schem
     Loop.measure_latency ~limit:(min queries 20_000) t work res hist;
     let q p = Ron_obs.Histogram.Bucketed.quantile hist p in
     Printf.printf "latency p50=%.0fns p99=%.0fns p999=%.0fns\n" (q 0.5) (q 0.99) (q 0.999);
-    (match flight_rec with
-    | Some fr ->
-      let ex = Ron_obs.Flight.exemplar_count fr in
-      let traced =
-        List.fold_left
-          (fun a (_, es) ->
-            a
-            + List.length
-                (List.filter (fun x -> x.Ron_obs.Flight.x_trace <> None) es))
-          0 (Ron_obs.Flight.dump fr)
-      in
-      if !Ron_obs.Probe.on then Ron_obs.Probe.flight_exemplar_level ex;
-      Printf.printf "flight recorded=%d exemplars=%d traced=%d\n"
-        (Ron_obs.Flight.recorded fr) ex traced
-    | None -> ());
-    (match slo_mon with
-    | Some s ->
-      Printf.printf "slo %s: windows=%d violated=%d max_burn=%.3g ok=%b\n"
-        (Ron_obs.Slo.spec s) (Ron_obs.Slo.windows_closed s)
-        (Ron_obs.Slo.violated_windows s) (Ron_obs.Slo.max_burn s) (Ron_obs.Slo.ok s);
-      (match slo_out with
-      | Some file ->
-        let fj = Option.map Ron_obs.Flight.to_json flight_rec in
-        let oc = open_out file in
-        Fun.protect
-          ~finally:(fun () -> close_out oc)
-          (fun () ->
-            output_string oc (Ron_obs.Json.to_string (Ron_obs.Slo.to_json ?flight:fj s)))
-      | None -> ())
-    | None -> ());
-    0
-  end
-  end
+    report_observers ~traced:true flags observers
+  end;
+  Ok 0
 
 let serve_cmd =
-  let doc =
-    "Serve batched distance/route/locate queries from a frozen off-heap scheme snapshot."
-  in
-  Cmd.v (Cmd.info "serve" ~doc)
+  obs_cmd "serve"
+    ~doc:"Serve batched distance/route/locate queries from a frozen off-heap scheme snapshot."
     Term.(
-      const run_serve $ trace_arg $ metrics_arg $ profile_arg $ telemetry_arg $ telemetry_interval_arg $ expo_arg $ jobs_arg $ serve_scheme_arg $ n_arg $ seed_arg
-      $ snapshot_arg $ load_arg $ queries_arg $ batch_arg $ zipf_arg $ mix_arg
-      $ slo_arg $ slo_out_arg $ slo_window_arg $ flight_arg $ flight_trace_every_arg)
+      const run_serve $ serve_scheme_arg $ n_arg $ seed_arg $ snapshot_arg $ load_arg
+      $ queries_arg $ batch_arg $ zipf_arg $ mix_arg $ slo_flags_term)
 
 (* ------------------------------------------------------------ experiment *)
 
-let experiment_ids =
+let experiments =
+  let module E = Ron_experiments in
   [
-    "t1"; "t2"; "t3"; "e21"; "e32"; "e34"; "e41"; "e52a"; "e52b"; "e54"; "e55"; "esub"; "fig1";
-    "mer"; "fault"; "scale"; "churn";
+    ("t1", E.Exp_t1.run); ("t2", E.Exp_t2.run); ("t3", E.Exp_t3.run);
+    ("e21", E.Exp_e21.run); ("e32", E.Exp_e32.run); ("e34", E.Exp_e34.run);
+    ("e41", E.Exp_e41.run); ("e52a", E.Exp_e52.run_a); ("e52b", E.Exp_e52.run_b);
+    ("e54", E.Exp_e54.run); ("e55", E.Exp_e55.run); ("esub", E.Exp_esub.run); ("mer", E.Exp_mer.run);
+    ("fig1", E.Exp_fig1.run); ("fault", E.Exp_fault.run); ("scale", E.Exp_scale.run);
+    ("churn", E.Exp_churn.run);
   ]
 
-let run_experiment trace metrics profile telemetry telemetry_interval expo jobs id =
-  set_jobs jobs;
-  with_obs trace metrics profile telemetry telemetry_interval expo @@ fun () ->
-  let module E = Ron_experiments in
-  let table =
-    [
-      ("t1", E.Exp_t1.run); ("t2", E.Exp_t2.run); ("t3", E.Exp_t3.run);
-      ("e21", E.Exp_e21.run); ("e32", E.Exp_e32.run); ("e34", E.Exp_e34.run);
-      ("e41", E.Exp_e41.run); ("e52a", E.Exp_e52.run_a); ("e52b", E.Exp_e52.run_b);
-      ("e54", E.Exp_e54.run); ("e55", E.Exp_e55.run); ("esub", E.Exp_esub.run); ("mer", E.Exp_mer.run);
-      ("fig1", E.Exp_fig1.run); ("fault", E.Exp_fault.run); ("scale", E.Exp_scale.run);
-      ("churn", E.Exp_churn.run);
-    ]
-  in
-  match List.assoc_opt id table with
-  | Some run ->
-    run ();
-    0
-  | None ->
-    Printf.eprintf "unknown experiment %S; one of: %s\n" id (String.concat ", " experiment_ids);
-    1
-
 let experiment_cmd =
-  let id = Arg.(required & pos 0 (some string) None & info [] ~docv:"ID") in
-  let doc = "Run one reproduction experiment (same ids as bench/main.exe)." in
-  Cmd.v (Cmd.info "experiment" ~doc)
-    Term.(const run_experiment $ trace_arg $ metrics_arg $ profile_arg $ telemetry_arg $ telemetry_interval_arg $ expo_arg $ jobs_arg $ id)
+  let id =
+    Arg.(
+      required
+      & pos 0 (some (enum (keys experiments))) None
+      & info [] ~docv:"ID" ~doc:(doc_alts_enum (keys experiments)))
+  in
+  let run id () =
+    List.assoc id experiments ();
+    0
+  in
+  obs_cmd "experiment" ~doc:"Run one reproduction experiment (same ids as bench/main.exe)."
+    Term.(const run $ id)
 
 let () =
   let doc = "rings of neighbors: distance estimation and object location (Slivkins, PODC 2005)" in
@@ -1029,4 +824,7 @@ let () =
   exit
     (Cmd.eval'
        (Cmd.group ~default info
-          [ estimate_cmd; route_cmd; fault_cmd; churn_cmd; smallworld_cmd; inspect_cmd; serve_cmd; experiment_cmd ]))
+          [
+            estimate_cmd; route_cmd; fault_cmd; churn_cmd; smallworld_cmd; inspect_cmd; serve_cmd;
+            experiment_cmd; Read_cmds.check_cmd; Read_cmds.report_cmd; Read_cmds.diff_cmd;
+          ]))

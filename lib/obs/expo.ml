@@ -11,7 +11,7 @@
    deterministic bucket-midpoint approximation (Bucketed.approx_sum).
 
    The validator is deliberately line-oriented (the same shape
-   trace_check's other modes use): it checks name/label/value syntax,
+   ron_cli check's other kinds use): it checks name/label/value syntax,
    that every sample's metric was TYPE-declared first, and the histogram
    invariants (cumulative buckets non-decreasing, +Inf present, _count
    equal to the +Inf bucket, _sum present). *)

@@ -148,7 +148,7 @@ let phase name f =
     in
     (* Mirror the phase into the trace stream when a sink is active:
        [Trace.span] is a no-op otherwise, and it owns the B/E (and
-       error-on-unwind) shape, so trace_report sees the same phases the
+       error-on-unwind) shape, so ron_cli report trace sees the same phases the
        profile table reports. *)
     match Trace.span name f with
     | r ->

@@ -83,5 +83,5 @@ val to_json : ?flight:Json.t -> t -> Json.t
 (** Machine-readable verdict, schema [ron-slo/1]: spec, objectives,
     every closed window with per-objective value/burn/violated, totals,
     and the overall [ok] bit. [?flight] (a {!Flight.to_json} dump)
-    attaches the slow-query exemplars so [slo_report] can attribute them
+    attaches the slow-query exemplars so [ron_cli report slo] can attribute them
     to violating windows. *)

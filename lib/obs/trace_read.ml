@@ -1,6 +1,6 @@
 (* Reader-side of the JSONL trace format: parse lines back into events and
-   validate the stream's structural invariants. Shared by bin/trace_check
-   (the CI validator) and bin/trace_report (the span aggregator), and unit
+   validate the stream's structural invariants. Shared by ron_cli check
+   (the CI validator) and ron_cli report (the span aggregator), and unit
    tested directly — the emitters in Trace and the checks here must agree
    on the schema or the smoke targets break. *)
 
@@ -126,7 +126,7 @@ let read_file file =
 
 (* One Telemetry JSONL sample, parsed shallowly: the fixed header fields
    are extracted and typed; the section payloads stay as Json.t so the
-   validator below and telemetry_report can each walk what they need. *)
+   validator below and ron_cli report telemetry can each walk what they need. *)
 type snapshot = {
   sts : int;
   seq : int;

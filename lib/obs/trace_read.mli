@@ -1,6 +1,6 @@
 (** Reader side of the JSONL trace format: parse {!Trace}'s output back
     into events and validate the stream's structural invariants. Shared by
-    [bin/trace_check] and [bin/trace_report]. *)
+    [ron_cli check trace] and [ron_cli report trace]. *)
 
 type ph = B | E | I
 
@@ -33,7 +33,7 @@ val validate : event list -> (int, string) result
 (** {2 Telemetry snapshot records}
 
     Reader side of {!Telemetry}'s JSONL samples, shared by
-    [bin/trace_check --telemetry] and [bin/telemetry_report]. *)
+    [ron_cli check telemetry] and [ron_cli report telemetry]. *)
 
 type snapshot = {
   sts : int;  (** the sample's clock reading ([ts] in the record) *)

@@ -1,5 +1,5 @@
 (* Shared classification of bench-JSON numeric keys, so every consumer
-   (bench_diff today, future gates) agrees on which direction is "worse".
+   (ron_cli diff today, future gates) agrees on which direction is "worse".
 
    Timing keys (seconds or nanoseconds) regress when they grow; throughput
    keys (queries per second and friends) regress when they shrink; anything

@@ -1,6 +1,6 @@
 (** Shared direction classification for bench-JSON numeric keys.
 
-    [bench_diff] (and anything else gating on bench output) uses this to
+    [ron_cli diff] (and anything else gating on bench output) uses this to
     decide how a relative threshold applies: {!Timing} keys are
     lower-is-better, {!Throughput} keys are higher-is-better, and
     {!Deterministic} keys must match exactly. *)
