@@ -55,10 +55,15 @@ trace-smoke: build
 	  --trace /tmp/ron_trace_smoke.jsonl --metrics-out /tmp/ron_metrics_smoke.json
 	dune exec bin/ron_cli.exe -- check trace /tmp/ron_trace_smoke.jsonl
 
-# Fault smoke: a small fault-injection sweep (crashed nodes + drops + dead
-# links with graceful-degradation fallbacks), then validate every JSONL
-# trace event the faulty run emitted.
+# Fault smoke: the fault sweep run at RON_JOBS=1 and 4 — the outputs must
+# be byte-identical (every fault draw is a seeded hash keyed by query and
+# hop). Then a small CLI fault run (crashed nodes + drops + dead links with
+# graceful-degradation fallbacks), validating every JSONL trace event the
+# faulty run emitted. Outputs land in /tmp for CI to archive.
 fault-smoke: build
+	RON_JOBS=1 dune exec bench/main.exe -- fault > /tmp/ron_fault_smoke_j1.txt
+	RON_JOBS=4 dune exec bench/main.exe -- fault > /tmp/ron_fault_smoke_j4.txt
+	cmp /tmp/ron_fault_smoke_j1.txt /tmp/ron_fault_smoke_j4.txt
 	dune exec bin/ron_cli.exe -- fault -m grid -n 64 -p 200 \
 	  --crash 0.08 --drop 0.02 --dead-links 0.02 \
 	  --trace /tmp/ron_fault_smoke.jsonl --metrics-out /tmp/ron_fault_metrics.json

@@ -8,6 +8,7 @@
 module Rng = Ron_util.Rng
 module Pool = Ron_util.Pool
 module Exp_common = Ron_experiments.Exp_common
+module Perturbed = Ron_experiments.Perturbed
 module Indexed = Ron_metric.Indexed
 module Generators = Ron_metric.Generators
 module Net = Ron_metric.Net
@@ -24,6 +25,9 @@ let time f =
   (r, Unix.gettimeofday () -. t0)
 
 let time_unit f = snd (time f)
+
+(* Perturbed-run counter deltas as report fields, under their bench keys. *)
+let events_json = Stdlib.List.map (fun ((_, key), d) -> (key, Int d))
 
 (* ----------------------------------------------------- index hot path *)
 
@@ -178,24 +182,20 @@ let graph_construction_section () =
      are exact constants (6 builds, 6 hits, 2 evictions). *)
   let oracle =
     let module Probe = Ron_obs.Probe in
-    let module Counter = Ron_obs.Counter in
     let o = Dijkstra.Oracle.create ~capacity:4 g in
-    let h0 = Counter.value Probe.oracle_hits
-    and b0 = Counter.value Probe.oracle_builds
-    and e0 = Counter.value Probe.oracle_evicts in
-    let was_on = !Probe.on in
-    Probe.on := true;
-    List.iter
-      (fun s -> ignore (Dijkstra.Oracle.distances o s))
-      [ 0; 1; 2; 3; 0; 1; 4; 0; 1; 5; 0; 1 ];
-    Probe.on := was_on;
+    let (), rows =
+      Probe.deltas
+        [ ("row_hits", Probe.oracle_hits); ("row_builds", Probe.oracle_builds);
+          ("row_evicts", Probe.oracle_evicts) ]
+        (fun () ->
+          Probe.forced (fun () ->
+              List.iter
+                (fun s -> ignore (Dijkstra.Oracle.distances o s))
+                [ 0; 1; 2; 3; 0; 1; 4; 0; 1; 5; 0; 1 ]))
+    in
     Obj
-      [
-        ("capacity", Int (Dijkstra.Oracle.capacity o));
-        ("row_hits", Int (Counter.value Probe.oracle_hits - h0));
-        ("row_builds", Int (Counter.value Probe.oracle_builds - b0));
-        ("row_evicts", Int (Counter.value Probe.oracle_evicts - e0));
-      ]
+      (("capacity", Int (Dijkstra.Oracle.capacity o))
+       :: Stdlib.List.map (fun (key, d) -> (key, Int d)) rows)
   in
   let fields =
     [
@@ -519,44 +519,24 @@ let table3 () =
    the fault layer's delivery/detour numbers. *)
 let fault_section () =
   let module Fault = Ron_fault.Fault in
-  let module Probe = Ron_obs.Probe in
-  let module Counter = Ron_obs.Counter in
   let sp = Ron_graph.Sp_metric.create (Ron_graph.Graph_gen.grid 8 8) in
-  let b = Ron_routing.Basic.build sp ~delta:0.25 in
-  let n = Ron_graph.Graph.size (Ron_graph.Sp_metric.graph sp) in
+  let target = Perturbed.basic sp (Ron_routing.Basic.build sp ~delta:0.25) in
   let fault =
-    Fault.make ~seed:4242 ~crash_fraction:0.05 ~drop_rate:0.01 ~dead_link_fraction:0.01 ~n ()
+    Fault.make ~seed:4242 ~crash_fraction:0.05 ~drop_rate:0.01 ~dead_link_fraction:0.01
+      ~n:target.Perturbed.n ()
   in
-  let pairs =
-    Exp_common.sample_pairs (Rng.create 101) ~n ~count:800
-    |> List.filter (fun (u, v) -> not (Fault.crashed fault u || Fault.crashed fault v))
+  let o =
+    Perturbed.run ~fault target
+      (Exp_common.sample_pairs (Rng.create 101) ~n:target.Perturbed.n ~count:800)
   in
-  let d0 = Counter.value Probe.fault_drops
-  and c0 = Counter.value Probe.fault_crashed_hits
-  and l0 = Counter.value Probe.fault_dead_links
-  and r0 = Counter.value Probe.fault_retries
-  and v0 = Counter.value Probe.fault_detours in
-  let q =
-    Exp_common.collect_routes_keyed
-      ~route:(fun ~query u v ->
-        Ron_routing.Basic.route_wrapped (Fault.wrapper fault ~query) b ~src:u ~dst:v)
-      ~dist:(fun u v -> Ron_graph.Sp_metric.dist sp u v)
-      pairs
-  in
-  let delivered = q.Exp_common.queries - q.Exp_common.failures in
   Obj
     (("graph", String "grid8x8")
      :: ("scheme", String "thm2.1")
      :: ("model", String (Fault.describe fault))
      :: ("crashed_nodes", Int (Fault.crash_count fault))
-     :: ("delivery_rate",
-         Float (float_of_int delivered /. float_of_int (max 1 q.Exp_common.queries)))
-     :: ("fault_drops", Int (Counter.value Probe.fault_drops - d0))
-     :: ("fault_crashed_hits", Int (Counter.value Probe.fault_crashed_hits - c0))
-     :: ("fault_dead_links", Int (Counter.value Probe.fault_dead_links - l0))
-     :: ("fault_retries", Int (Counter.value Probe.fault_retries - r0))
-     :: ("fault_detours", Int (Counter.value Probe.fault_detours - v0))
-     :: quality_obj q)
+     :: ("delivery_rate", Float o.Perturbed.delivery_rate)
+     :: (events_json o.Perturbed.events
+        @ quality_obj o.Perturbed.quality))
 
 (* ------------------------------------------------------------------ churn *)
 
@@ -567,47 +547,19 @@ let fault_section () =
    event. *)
 let churn_section () =
   let module Churn = Ron_churn.Churn in
-  let module Probe = Ron_obs.Probe in
-  let module Counter = Ron_obs.Counter in
   let sp = Ron_graph.Sp_metric.create (Ron_graph.Graph_gen.grid 8 8) in
-  let b = Ron_routing.Basic.build sp ~delta:0.25 in
-  let n = Ron_graph.Graph.size (Ron_graph.Sp_metric.graph sp) in
+  let target = Perturbed.basic sp (Ron_routing.Basic.build sp ~delta:0.25) in
+  let n = target.Perturbed.n in
   let pairs = Exp_common.sample_pairs (Rng.create 101) ~n ~count:800 in
   let base_stretch = ref nan in
   let row rate =
     let sched =
       Churn.Schedule.make ~seed:9191 ~n ~slots:120 ~join_rate:rate ~leave_rate:rate ()
     in
-    let st = Churn.state_of_schedule sched in
-    let rr =
-      Churn.Ring_repair.create st (Ron_routing.Basic.substrate b)
-        (Ron_routing.Basic.rings_collection b)
-    in
-    let was_on = !Probe.on in
-    Probe.on := true;
-    let summary =
-      Fun.protect
-        ~finally:(fun () -> Probe.on := was_on)
-        (fun () ->
-          Churn.Driver.apply sched st
-            ~on_leave:(fun v -> Churn.Ring_repair.leave rr v)
-            ~on_join:(fun v -> Churn.Ring_repair.join rr v)
-            ())
-    in
-    let live_pairs =
-      List.filter (fun (u, v) -> Churn.is_live st u && Churn.is_live st v) pairs
-    in
-    let s0 = Counter.value Probe.churn_stale_hits
-    and t0 = Counter.value Probe.churn_detours in
-    let cw = Churn.wrapper st in
-    let q =
-      Exp_common.collect_routes_keyed
-        ~route:(fun ~query:_ u v -> Ron_routing.Basic.route_wrapped cw b ~src:u ~dst:v)
-        ~dist:(fun u v -> Ron_graph.Sp_metric.dist sp u v)
-        live_pairs
-    in
+    let o = Perturbed.run ~schedule:sched target pairs in
+    let q = o.Perturbed.quality and c = Option.get o.Perturbed.churned in
+    let summary = c.Perturbed.summary in
     if Float.is_nan !base_stretch then base_stretch := q.Exp_common.stretch_mean;
-    let delivered = q.Exp_common.queries - q.Exp_common.failures in
     let events = summary.Churn.Driver.joins + summary.Churn.Driver.leaves in
     Obj
       (("graph", String "grid8x8")
@@ -617,20 +569,18 @@ let churn_section () =
        :: ("churn_events", Int events)
        :: ("churn_joins", Int summary.Churn.Driver.joins)
        :: ("churn_leaves", Int summary.Churn.Driver.leaves)
-       :: ("live_nodes", Int (Churn.live_count st))
-       :: ("delivery_rate",
-           Float (float_of_int delivered /. float_of_int (max 1 q.Exp_common.queries)))
+       :: ("live_nodes", Int (Churn.live_count c.Perturbed.state))
+       :: ("delivery_rate", Float o.Perturbed.delivery_rate)
        :: ("stretch_inflation", Float (q.Exp_common.stretch_mean /. !base_stretch))
-       :: ("churn_stale_hits", Int (Counter.value Probe.churn_stale_hits - s0))
-       :: ("churn_detours", Int (Counter.value Probe.churn_detours - t0))
-       :: ("churn_repair_updates", Int summary.Churn.Driver.cost.Churn.updates)
-       :: ("churn_refills", Int summary.Churn.Driver.cost.Churn.refills)
-       :: ("repair_updates_per_event",
-           Float
-             (float_of_int summary.Churn.Driver.cost.Churn.updates
-             /. float_of_int (max 1 events)))
-       :: ("stale_after_repair", Int (Churn.Ring_repair.stale_members rr))
-       :: quality_obj q)
+       :: (events_json o.Perturbed.events
+          @ ("churn_repair_updates", Int summary.Churn.Driver.cost.Churn.updates)
+          :: ("churn_refills", Int summary.Churn.Driver.cost.Churn.refills)
+          :: ("repair_updates_per_event",
+              Float
+                (float_of_int summary.Churn.Driver.cost.Churn.updates
+                /. float_of_int (max 1 events)))
+          :: ("stale_after_repair", Int (c.Perturbed.repair.Churn.Repair.stale ()))
+          :: quality_obj q))
   in
   List (Stdlib.List.map row [ 0.0; 0.02; 0.05; 0.1 ])
 

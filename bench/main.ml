@@ -19,28 +19,7 @@
    DESIGN.md section 3 for the index and EXPERIMENTS.md for the recorded
    paper-vs-measured discussion. *)
 
-module E = Ron_experiments
-
-let experiments : (string * string * (unit -> unit)) list =
-  [
-    ("t1", "Table 1: routing schemes on doubling graphs", E.Exp_t1.run);
-    ("t2", "Table 2: routing schemes on doubling metrics", E.Exp_t2.run);
-    ("t3", "Table 3: the two routing modes of Theorem 4.2/B.1", E.Exp_t3.run);
-    ("e21", "Theorem 2.1: stretch sweep", E.Exp_e21.run);
-    ("e32", "Theorem 3.2: (0,delta)-triangulation", E.Exp_e32.run);
-    ("e34", "Theorem 3.4: distance labels vs aspect ratio", E.Exp_e34.run);
-    ("e41", "Theorem 4.1: headers vs aspect ratio", E.Exp_e41.run);
-    ("e52a", "Theorem 5.2a: greedy small worlds", E.Exp_e52.run_a);
-    ("e52b", "Theorem 5.2b: sqrt(log Delta) out-degree", E.Exp_e52.run_b);
-    ("e54", "Theorem 5.4: comparison with STRUCTURES", E.Exp_e54.run);
-    ("e55", "Theorem 5.5: single long-range contact", E.Exp_e55.run);
-    ("esub", "Substrate lemmas (1.1-1.4, 1.3, 3.1/A.1)", E.Exp_esub.run);
-    ("fig1", "Figure 1: flow of ideas as live dependencies", E.Exp_fig1.run);
-    ("mer", "Meridian-style object location over rings (Sec 6)", E.Exp_mer.run);
-    ("fault", "Fault injection & graceful degradation sweep", E.Exp_fault.run);
-    ("scale", "Scaling regime: landmark labels over the on-demand oracle", E.Exp_scale.run);
-    ("churn", "Dynamic membership: joins/leaves with incremental repair", E.Exp_churn.run);
-  ]
+let experiments = Ron_experiments.Catalog.all
 
 (* ------------------------------------------------- Bechamel micro-benches *)
 
@@ -52,9 +31,8 @@ let micro () =
   let module Net = Ron_metric.Net in
   let module Measure = Ron_metric.Measure in
   let module Packing = Ron_metric.Packing in
-  Printf.printf "\n================================================================================\n";
-  Printf.printf "[MICRO] Bechamel micro-benchmarks (construction and query costs)\n";
-  Printf.printf "================================================================================\n";
+  Ron_experiments.Exp_common.section "MICRO"
+    "Bechamel micro-benchmarks (construction and query costs)";
   let rng = Rng.create 7 in
   let idx = Indexed.create (Generators.random_cloud rng ~n:100 ~dim:2) in
   let hier = Net.Hierarchy.create idx in

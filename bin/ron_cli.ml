@@ -27,7 +27,10 @@ module Net = Ron_metric.Net
 module Measure = Ron_metric.Measure
 module Doubling = Ron_metric.Doubling
 module Scheme = Ron_routing.Scheme
-module Counter = Ron_obs.Counter
+module Fault = Ron_fault.Fault
+module Churn = Ron_churn.Churn
+module C = Ron_experiments.Exp_common
+module P = Ron_experiments.Perturbed
 module Probe = Ron_obs.Probe
 module Flight = Ron_obs.Flight
 module Slo = Ron_obs.Slo
@@ -212,17 +215,37 @@ let report_observers ~traced o (slo_mon, flight_rec) =
         o.slo_out)
     slo_mon
 
-(* Snapshot named counters; [print_deltas] later prints how far each moved. *)
-let counters_now named = List.map (fun (name, c) -> (name, c, Counter.value c)) named
+(* ------------------------------------------------------- checked flags *)
 
-let print_deltas label base =
-  Printf.printf "  %s:" label;
-  List.iter (fun (name, c, v0) -> Printf.printf " %s %d" name (Counter.value c - v0)) base;
-  print_newline ()
+(* Each flag value the constructions would reject is checked here, once,
+   before anything is built: a bad value exits 2 naming the flag. *)
+
+let check_n n =
+  if n >= 2 then Ok () else Error (Printf.sprintf "-n %d: need at least 2 nodes" n)
+
+(* The delta range a construction accepts, with its name for the error
+   message. Schemes that clamp delta take any positive value. *)
+let positive = ((fun d -> d > 0.0), "positive")
+let labelled_range = ((fun d -> d > 0.0 && d < 2.0 /. 3.0), "in (0, 2/3)")
+
+let check_delta (ok, range) delta =
+  if ok delta then Ok () else Error (Printf.sprintf "--delta %g: must be %s" delta range)
+
+(* Fractions and rates: in [0, 1), or in [0, 1] when [closed]. *)
+let check_unit ?(closed = false) name v =
+  if v >= 0.0 && (v < 1.0 || (closed && v = 1.0)) then Ok ()
+  else Error (Printf.sprintf "%s %g: must be in [0, 1%s" name v (if closed then "]" else ")"))
+
+let sample_pairs seed pairs n =
+  C.sample_pairs (Rng.create (seed + 2)) ~n ~count:pairs
 
 (* -------------------------------------------------------------- estimate *)
 
 let run_estimate family n seed delta pairs () =
+  user_error
+  @@
+  let* () = check_n n in
+  let* () = check_delta ((fun d -> d > 0.0 && d < 0.5), "in (0, 1/2)") delta in
   let idx = Indexed.create (make_metric family n seed) in
   let n = Indexed.size idx in
   Printf.printf "metric=%s n=%d log2(aspect)=%d\n" family n (Indexed.log2_aspect_ratio idx);
@@ -246,7 +269,7 @@ let run_estimate family n seed delta pairs () =
   Printf.printf "worst overestimate on %d pairs: triangulation %.4f, labels-only %.4f (bound %.4f)\n"
     pairs !worst_tri !worst_dls
     ((1.0 +. (2.0 *. delta)) *. (1.0 +. (delta /. 8.0)));
-  0
+  Ok 0
 
 let estimate_cmd =
   obs_cmd "estimate" ~doc:"Distance estimation: Theorem 3.2 triangulation + Theorem 3.4 labels."
@@ -263,12 +286,20 @@ let route_scheme_arg =
        metrics, trivial (full tables)"
 
 let run_route family n seed delta pairs scheme () =
+  user_error
+  @@
+  let* () = check_n n in
+  let* () =
+    match scheme with
+    | `Thm41 -> check_delta labelled_range delta
+    | `Metric -> check_delta ((fun d -> d > 0.0 && d <= 0.25), "in (0, 1/4]") delta
+    | `Trivial -> Ok ()
+    | `Thm21 | `Thm42 -> check_delta positive delta
+  in
   let report ?parallel name route dist max_table header n =
-    let prs = Ron_experiments.Exp_common.sample_pairs (Rng.create (seed + 2)) ~n ~count:pairs in
-    let q = Ron_experiments.Exp_common.collect_routes ?parallel ~route ~dist prs in
+    let q = C.collect_routes ?parallel ~route ~dist (sample_pairs seed pairs n) in
     Printf.printf "%s: table<=%d bits, header<=%d bits\n  %s\n  %s\n" name max_table header
-      (Ron_experiments.Exp_common.pp_quality q)
-      (Ron_experiments.Exp_common.pp_observed q)
+      (C.pp_quality q) (C.pp_observed q)
   in
   (match scheme with
   | `Metric ->
@@ -307,7 +338,7 @@ let run_route family n seed delta pairs scheme () =
     report "stretch-1 trivial" (fun u v -> Ron_routing.Full_table.route s ~src:u ~dst:v) dist
       (max_bits (Ron_routing.Full_table.table_bits s))
       (Ron_routing.Full_table.header_bits s) nn);
-  0
+  Ok 0
 
 let route_cmd =
   obs_cmd "route" ~doc:"Compact (1+delta)-stretch routing (Theorems 2.1, 4.1, 4.2; Section 4.1)."
@@ -316,85 +347,85 @@ let route_cmd =
 
 (* ----------------------------------------------------------------- fault *)
 
-(* The schemes with a wrapped (fault- and churn-aware) router. *)
-let wrapped_scheme_arg =
-  enum_arg [ "scheme" ]
-    [ ("thm21", `Thm21); ("thm41", `Thm41); ("thm42", `Thm42) ]
-    ~default:`Thm21 ~docv:"SCHEME" ~doc:"Routing scheme"
-
-let crash_arg =
-  Arg.(
-    value & opt float 0.05
-    & info [ "crash" ] ~docv:"FRAC" ~doc:"Fraction of nodes crashed (seed-chosen, in [0,1)).")
-
-let drop_arg =
-  Arg.(
-    value & opt float 0.01
-    & info [ "drop" ] ~docv:"RATE" ~doc:"Per-hop Bernoulli message-drop rate (in [0,1)).")
-
-let dead_links_arg =
-  Arg.(
-    value & opt float 0.0
-    & info [ "dead-links" ] ~docv:"FRAC" ~doc:"Fraction of (undirected) links dead (in [0,1)).")
-
-let fault_seed_arg =
-  Arg.(
-    value & opt int 4242
-    & info [ "fault-seed" ] ~docv:"SEED"
-        ~doc:"Seed of the fault model's dedicated random stream (independent of --seed).")
-
-let run_fault family n seed delta pairs scheme crash drop dead fseed () =
-  let module Fault = Ron_fault.Fault in
-  let module C = Ron_experiments.Exp_common in
-  let report ?parallel name route_wrapped dist nn =
-    let fault = Fault.make ~seed:fseed ~crash_fraction:crash ~drop_rate:drop
-        ~dead_link_fraction:dead ~n:nn ()
-    in
-    let prs =
-      List.filter
-        (fun (u, v) -> not (Fault.crashed fault u || Fault.crashed fault v))
-        (C.sample_pairs (Rng.create (seed + 2)) ~n:nn ~count:pairs)
-    in
-    let base =
-      counters_now
-        [
-          ("drops injected", Probe.fault_drops);
-          ("crashed hits", Probe.fault_crashed_hits);
-          ("dead-link hits", Probe.fault_dead_links);
-          ("retries", Probe.fault_retries);
-          ("detours", Probe.fault_detours);
-        ]
-    in
-    let q =
-      C.collect_routes_keyed ?parallel
-        ~route:(fun ~query u v -> route_wrapped (Fault.wrapper fault ~query) u v)
-        ~dist prs
-    in
-    Printf.printf "%s under faults (%s)\n  %s\n  %s\n" name (Fault.describe fault)
-      (C.pp_quality q) (C.pp_observed q);
-    let delivered = q.C.queries - q.C.failures in
-    Printf.printf "  delivery rate %.3f (%d/%d live pairs)\n"
-      (float_of_int delivered /. float_of_int (max 1 q.C.queries))
-      delivered q.C.queries;
-    print_deltas "fault events" base
+(* The schemes with a wrapped (fault- and churn-aware) router, shared by
+   the fault and churn subcommands: report title, flight-recorder tag,
+   delta range, and the build from the metric flags. *)
+let wrapped_schemes =
+  let on_graph target family n seed delta =
+    let sp, _, _ = make_graph family n seed in
+    target sp delta
   in
-  (match scheme with
-  | `Thm42 ->
-    let idx, nn, dist = metric_substrate family n seed in
-    let s = Ron_routing.Two_mode.build idx ~delta:(Float.min delta 0.125) in
-    (* Two_mode.route counts mode switches in shared state: sequential. *)
-    report ~parallel:false "Thm 4.2 two-mode"
-      (fun w u v -> Ron_routing.Two_mode.route_wrapped w s ~src:u ~dst:v)
-      dist nn
-  | `Thm21 ->
-    let sp, nn, dist = make_graph family n seed in
-    let s = Ron_routing.Basic.build sp ~delta:(Float.min delta 0.25) in
-    report "Thm 2.1" (fun w u v -> Ron_routing.Basic.route_wrapped w s ~src:u ~dst:v) dist nn
-  | `Thm41 ->
-    let sp, nn, dist = make_graph family n seed in
-    let s = Ron_routing.Labelled.build sp ~delta in
-    report "Thm 4.1" (fun w u v -> Ron_routing.Labelled.route_wrapped w s ~src:u ~dst:v) dist nn);
-  0
+  [
+    ( "thm21",
+      ( "Thm 2.1", 1, positive,
+        on_graph (fun sp delta ->
+            P.basic sp (Ron_routing.Basic.build sp ~delta:(Float.min delta 0.25))) ) );
+    ( "thm41",
+      ( "Thm 4.1", 2, labelled_range,
+        on_graph (fun sp delta -> P.labelled sp (Ron_routing.Labelled.build sp ~delta)) ) );
+    ( "thm42",
+      ( "Thm 4.2 two-mode", 3, positive,
+        fun family n seed delta ->
+          let idx, _, _ = metric_substrate family n seed in
+          P.two_mode idx (Ron_routing.Two_mode.build idx ~delta:(Float.min delta 0.125)) ) );
+  ]
+
+let wrapped_scheme_arg =
+  enum_arg [ "scheme" ] (keys wrapped_schemes) ~default:"thm21" ~docv:"SCHEME"
+    ~doc:"Routing scheme"
+
+let stream_seed name default what =
+  Arg.(
+    value & opt int default
+    & info [ name ] ~docv:"SEED"
+        ~doc:(Printf.sprintf "Seed of the %s's dedicated random stream (independent of --seed)." what))
+
+type fault_flags = { crash : float; drop : float; dead : float; fault_seed : int }
+
+let fault_term =
+  let frac name docv default doc = Arg.(value & opt float default & info [ name ] ~docv ~doc) in
+  Term.(
+    const (fun crash drop dead fault_seed -> { crash; drop; dead; fault_seed })
+    $ frac "crash" "FRAC" 0.05 "Fraction of nodes crashed (seed-chosen, in [0,1))."
+    $ frac "drop" "RATE" 0.01 "Per-hop Bernoulli message-drop rate (in [0,1))."
+    $ frac "dead-links" "FRAC" 0.0 "Fraction of (undirected) links dead (in [0,1))."
+    $ stream_seed "fault-seed" 4242 "fault model")
+
+let check_fault f =
+  let* () = check_unit "--crash" f.crash in
+  let* () = check_unit "--drop" f.drop in
+  check_unit "--dead-links" f.dead
+
+let make_fault f n =
+  Fault.make ~seed:f.fault_seed ~crash_fraction:f.crash ~drop_rate:f.drop
+    ~dead_link_fraction:f.dead ~n ()
+
+(* Check the metric, scheme and fault flags, then build the scheme. *)
+let build_wrapped family n seed delta scheme f =
+  let title, tag, delta_range, build = List.assoc scheme wrapped_schemes in
+  let* () = check_n n in
+  let* () = check_delta delta_range delta in
+  let* () = check_fault f in
+  Ok (title, tag, fun () -> build family n seed delta)
+
+let print_events label events =
+  Printf.printf "  %s:" label;
+  List.iter (fun ((name, _), d) -> Printf.printf " %s %d" name d) events;
+  print_newline ()
+
+let run_fault family n seed delta pairs scheme f () =
+  user_error
+  @@
+  let* title, _, build = build_wrapped family n seed delta scheme f in
+  let t = build () in
+  let fault = make_fault f t.P.n in
+  let o = P.run ~fault t (sample_pairs seed pairs t.P.n) in
+  Printf.printf "%s under faults (%s)\n  %s\n  %s\n" title (Fault.describe fault)
+    (C.pp_quality o.P.quality) (C.pp_observed o.P.quality);
+  Printf.printf "  delivery rate %.3f (%d/%d live pairs)\n" o.P.delivery_rate o.P.delivered
+    o.P.quality.C.queries;
+  print_events "fault events" o.P.events;
+  Ok 0
 
 let fault_cmd =
   obs_cmd "fault"
@@ -403,188 +434,96 @@ let fault_cmd =
        graceful-degradation fallbacks."
     Term.(
       const run_fault $ metric_arg $ n_arg $ seed_arg $ delta_arg $ pairs_arg $ wrapped_scheme_arg
-      $ crash_arg $ drop_arg $ dead_links_arg $ fault_seed_arg)
+      $ fault_term)
 
 (* ----------------------------------------------------------------- churn *)
 
-let join_rate_arg =
-  Arg.(
-    value & opt float 0.05
-    & info [ "join-rate" ] ~docv:"RATE"
-        ~doc:"Per-slot probability that a departed node rejoins.")
+type churn_flags = { join_rate : float; leave_rate : float; churn_seed : int; slots : int }
 
-let leave_rate_arg =
-  Arg.(
-    value & opt float 0.05
-    & info [ "leave-rate" ] ~docv:"RATE"
-        ~doc:"Per-slot probability that a live node leaves.")
+let churn_term =
+  let rate name doc = Arg.(value & opt float 0.05 & info [ name ] ~docv:"RATE" ~doc) in
+  let slots =
+    Arg.(value & opt int 120 & info [ "slots" ] ~docv:"SLOTS" ~doc:"Event slots in the churn schedule.")
+  in
+  Term.(
+    const (fun join_rate leave_rate churn_seed slots -> { join_rate; leave_rate; churn_seed; slots })
+    $ rate "join-rate" "Per-slot probability that a departed node rejoins."
+    $ rate "leave-rate" "Per-slot probability that a live node leaves."
+    $ stream_seed "churn-seed" 9191 "churn schedule" $ slots)
 
-let churn_seed_arg =
-  Arg.(
-    value & opt int 9191
-    & info [ "churn-seed" ] ~docv:"SEED"
-        ~doc:"Seed of the churn schedule's dedicated random stream (independent of --seed).")
+let check_churn c =
+  let* () = check_unit ~closed:true "--join-rate" c.join_rate in
+  let* () = check_unit ~closed:true "--leave-rate" c.leave_rate in
+  if c.join_rate +. c.leave_rate > 1.0 then
+    Error
+      (Printf.sprintf "--join-rate %g plus --leave-rate %g: the sum must not exceed 1" c.join_rate
+         c.leave_rate)
+  else if c.slots < 0 then Error (Printf.sprintf "--slots %d: must be non-negative" c.slots)
+  else Ok ()
 
-let slots_arg =
-  Arg.(
-    value & opt int 120
-    & info [ "slots" ] ~docv:"SLOTS" ~doc:"Event slots in the churn schedule.")
+(* The flight recorder's outcome codes, as the frozen server writes them. *)
+let outcome_code = function
+  | Scheme.Delivered -> 0
+  | Truncated -> 1
+  | Self_forward -> 2
+  | Cycled -> 3
+  | Dropped -> 4
 
-let run_churn family n seed delta pairs scheme jrate lrate cseed slots crash drop dead fseed
-    flags () =
-  let module Churn = Ron_churn.Churn in
-  let module Fault = Ron_fault.Fault in
-  let module C = Ron_experiments.Exp_common in
+let run_churn family n seed delta pairs scheme c f flags () =
   user_error
   @@
+  let* title, tag, build = build_wrapped family n seed delta scheme f in
+  let* () = check_churn c in
   let* ((slo_mon, flight_rec) as observers) = make_observers flags in
-  let report ?parallel name ~tag ~make_repair route_wrapped dist nn =
-    let sched =
-      Churn.Schedule.make ~seed:cseed ~n:nn ~slots ~join_rate:jrate ~leave_rate:lrate ()
-    in
-    let st = Churn.state_of_schedule sched in
-    let on_leave, on_join, backlog, stale_after = make_repair st in
-    let was_on = !Probe.on in
-    Probe.on := true;
-    let summary =
-      Fun.protect
-        ~finally:(fun () -> Probe.on := was_on)
-        (fun () -> Churn.Driver.apply sched st ~on_leave ~on_join ?backlog ())
-    in
-    (* Composable with the fault axis: churn detours innermost, fault
-       injection on top. All-zero fault rates compose with the identity. *)
-    let fault =
-      if crash = 0.0 && drop = 0.0 && dead = 0.0 then None
-      else
-        Some
-          (Fault.make ~seed:fseed ~crash_fraction:crash ~drop_rate:drop
-             ~dead_link_fraction:dead ~n:nn ())
-    in
-    let prs =
-      List.filter
-        (fun (u, v) ->
-          Churn.is_live st u && Churn.is_live st v
-          && match fault with
-             | None -> true
-             | Some f -> not (Fault.crashed f u || Fault.crashed f v))
-        (C.sample_pairs (Rng.create (seed + 2)) ~n:nn ~count:pairs)
-    in
-    let cw = Churn.wrapper st in
-    let wrapper_for query =
-      match fault with
-      | None -> cw
-      | Some f -> Scheme.compose (Fault.wrapper f ~query) cw
-    in
-    let base =
-      counters_now [ ("stale hits", Probe.churn_stale_hits); ("detours", Probe.churn_detours) ]
-    in
-    let q =
-      C.collect_routes_keyed ?parallel
-        ~route:(fun ~query u v -> route_wrapped (wrapper_for query) u v)
-        ~dist prs
-    in
-    Printf.printf "%s under churn (%s)\n" name (Churn.Schedule.describe sched);
-    (match fault with
-    | Some f -> Printf.printf "  composed with %s\n" (Fault.describe f)
-    | None -> ());
-    Printf.printf "  %s\n  %s\n" (C.pp_quality q) (C.pp_observed q);
-    let delivered = q.C.queries - q.C.failures in
-    Printf.printf "  delivery rate %.3f (%d/%d live pairs), live nodes %d/%d\n"
-      (float_of_int delivered /. float_of_int (max 1 q.C.queries))
-      delivered q.C.queries (Churn.live_count st) nn;
-    let ev = summary.Churn.Driver.joins + summary.Churn.Driver.leaves in
-    Printf.printf "  repair: %d updates, %d refills, %d relabels over %d events (%.1f/ev), stale after %d\n"
-      summary.Churn.Driver.cost.Churn.updates summary.Churn.Driver.cost.Churn.refills
-      summary.Churn.Driver.cost.Churn.relabels ev
-      (float_of_int summary.Churn.Driver.cost.Churn.updates /. float_of_int (max 1 ev))
-      (stale_after ());
-    print_deltas "churn events" base;
-    (* Observed pass for the SLO monitor / flight recorder: sequential and
-       wall-clocked — the monitor is single-feeder state, and the live
-       churn schemes have no frozen scratch, so exemplars carry full
-       context but no per-hop trace. *)
-    match (slo_mon, flight_rec) with
-    | None, None -> ()
-    | _ ->
-      List.iteri
-        (fun i (u, v) ->
-          let t0 = Unix.gettimeofday () in
-          let r = route_wrapped (wrapper_for i) u v in
-          let lat_ns = int_of_float ((Unix.gettimeofday () -. t0) *. 1e9) in
-          (match flight_rec with
-          | Some fr ->
-            let outcome =
-              match r.Scheme.outcome with
-              | Scheme.Delivered -> 0
-              | Scheme.Truncated -> 1
-              | Scheme.Self_forward -> 2
-              | Scheme.Cycled -> 3
-              | Scheme.Dropped -> 4
-            in
-            Flight.record fr ~qid:i ~scheme:tag ~kind:0 ~src:u ~dst:v ~outcome
-              ~hops:r.Scheme.hops ~lat:lat_ns ~trace:[||] ~trace_len:(-1)
-          | None -> ());
-          match slo_mon with
-          | Some s -> Slo.observe s ~lat:(float_of_int lat_ns) ~ok:r.Scheme.delivered
-          | None -> ())
-        prs
+  let t = build () in
+  let sched =
+    Churn.Schedule.make ~seed:c.churn_seed ~n:t.P.n ~slots:c.slots ~join_rate:c.join_rate
+      ~leave_rate:c.leave_rate ()
   in
-  (match scheme with
-  | `Thm42 ->
-    let idx, nn, dist = metric_substrate family n seed in
-    let s = Ron_routing.Two_mode.build idx ~delta:(Float.min delta 0.125) in
-    let x = Ron_routing.Two_mode.export s in
-    let rows =
-      Array.init nn (fun u ->
-          let dirs = ref [] in
-          for i = Array.length x.Ron_routing.Two_mode.x_hub_g - 1 downto 0 do
-            let g = x.Ron_routing.Two_mode.x_hub_g.(i).(u) in
-            if g >= 0 then
-              dirs := x.Ron_routing.Two_mode.x_dir_members.(g) :: !dirs
-          done;
-          Array.concat (x.Ron_routing.Two_mode.x_hub_ptr.(u) :: !dirs))
-    in
-    let scales = Array.length x.Ron_routing.Two_mode.x_hub_g in
-    report ~parallel:false "Thm 4.2 two-mode" ~tag:3
-      ~make_repair:(fun st ->
-        let ov = Churn.Overlay.create st rows ~relabel_cost:(fun _ -> scales) in
-        ( (fun v -> Churn.Overlay.leave ov v),
-          (fun v -> Churn.Overlay.join ov v),
-          Some (fun () -> Churn.Overlay.backlog ov),
-          fun () -> Churn.Overlay.stale_entries ov ))
-      (fun w u v -> Ron_routing.Two_mode.route_wrapped w s ~src:u ~dst:v)
-      dist nn
-  | `Thm21 ->
-    let sp, nn, dist = make_graph family n seed in
-    let s = Ron_routing.Basic.build sp ~delta:(Float.min delta 0.25) in
-    report "Thm 2.1" ~tag:1
-      ~make_repair:(fun st ->
-        let rr =
-          Churn.Ring_repair.create st (Ron_routing.Basic.substrate s)
-            (Ron_routing.Basic.rings_collection s)
-        in
-        ( (fun v -> Churn.Ring_repair.leave rr v),
-          (fun v -> Churn.Ring_repair.join rr v),
-          None,
-          fun () -> Churn.Ring_repair.stale_members rr ))
-      (fun w u v -> Ron_routing.Basic.route_wrapped w s ~src:u ~dst:v)
-      dist nn
-  | `Thm41 ->
-    let sp, nn, dist = make_graph family n seed in
-    let s = Ron_routing.Labelled.build sp ~delta in
-    let rows = Array.init nn (fun u -> Ron_routing.Labelled.neighbors s u) in
-    report "Thm 4.1" ~tag:2
-      ~make_repair:(fun st ->
-        let ov =
-          Churn.Overlay.create st rows
-            ~relabel_cost:(fun v -> Array.length rows.(v))
-        in
-        ( (fun v -> Churn.Overlay.leave ov v),
-          (fun v -> Churn.Overlay.join ov v),
-          Some (fun () -> Churn.Overlay.backlog ov),
-          fun () -> Churn.Overlay.stale_entries ov ))
-      (fun w u v -> Ron_routing.Labelled.route_wrapped w s ~src:u ~dst:v)
-      dist nn);
+  (* All-zero fault rates compose with the identity. *)
+  let fault =
+    if f.crash = 0.0 && f.drop = 0.0 && f.dead = 0.0 then None else Some (make_fault f t.P.n)
+  in
+  let o = P.run ?fault ~schedule:sched t (sample_pairs seed pairs t.P.n) in
+  let q = o.P.quality and ch = Option.get o.P.churned in
+  let summary = ch.P.summary in
+  Printf.printf "%s under churn (%s)\n" title (Churn.Schedule.describe sched);
+  Option.iter
+    (fun f -> Printf.printf "  composed with %s\n" (Fault.describe f))
+    fault;
+  Printf.printf "  %s\n  %s\n" (C.pp_quality q) (C.pp_observed q);
+  Printf.printf "  delivery rate %.3f (%d/%d live pairs), live nodes %d/%d\n" o.P.delivery_rate
+    o.P.delivered q.C.queries (Churn.live_count ch.P.state) t.P.n;
+  let ev = summary.Churn.Driver.joins + summary.Churn.Driver.leaves in
+  let cost = summary.Churn.Driver.cost in
+  Printf.printf
+    "  repair: %d updates, %d refills, %d relabels over %d events (%.1f/ev), stale after %d\n"
+    cost.Churn.updates cost.Churn.refills cost.Churn.relabels ev
+    (float_of_int cost.Churn.updates /. float_of_int (max 1 ev))
+    (ch.P.repair.Churn.Repair.stale ());
+  print_events "churn events" o.P.events;
+  (* Observed pass for the SLO monitor / flight recorder: sequential and
+     wall-clocked — the monitor is single-feeder state, and the live
+     churn schemes have no frozen scratch, so exemplars carry full
+     context but no per-hop trace. *)
+  (match observers with
+  | None, None -> ()
+  | _ ->
+    List.iteri
+      (fun i (u, v) ->
+        let t0 = Unix.gettimeofday () in
+        let r = t.P.route_wrapped (o.P.wrapper i) u v in
+        let lat_ns = int_of_float ((Unix.gettimeofday () -. t0) *. 1e9) in
+        (match flight_rec with
+        | Some fr ->
+          Flight.record fr ~qid:i ~scheme:tag ~kind:0 ~src:u ~dst:v
+            ~outcome:(outcome_code r.Scheme.outcome) ~hops:r.Scheme.hops ~lat:lat_ns ~trace:[||]
+            ~trace_len:(-1)
+        | None -> ());
+        match slo_mon with
+        | Some s -> Slo.observe s ~lat:(float_of_int lat_ns) ~ok:r.Scheme.delivered
+        | None -> ())
+      o.P.pairs);
   report_observers ~traced:false flags observers;
   Ok 0
 
@@ -595,8 +534,7 @@ let churn_cmd =
        composable with the fault-injection flags."
     Term.(
       const run_churn $ metric_arg $ n_arg $ seed_arg $ delta_arg $ pairs_arg
-      $ wrapped_scheme_arg $ join_rate_arg $ leave_rate_arg $ churn_seed_arg $ slots_arg
-      $ crash_arg $ drop_arg $ dead_links_arg $ fault_seed_arg $ slo_flags_term)
+      $ wrapped_scheme_arg $ churn_term $ fault_term $ slo_flags_term)
 
 (* ------------------------------------------------------------ smallworld *)
 
@@ -624,6 +562,9 @@ let model_arg =
     ~doc:"Small-world model — a (Thm 5.2a), b (Thm 5.2b) or structures"
 
 let run_smallworld family n seed pairs model () =
+  user_error
+  @@
+  let* () = check_n n in
   let idx = Indexed.create (make_metric family n seed) in
   let nn = Indexed.size idx in
   let mu = Measure.create idx (Net.Hierarchy.create idx) in
@@ -647,7 +588,7 @@ let run_smallworld family n seed pairs model () =
   Printf.printf "lookups: mean %.2f hops, max %d, nongreedy %d, failed %d\n"
     (float_of_int !hsum /. float_of_int (max 1 !ok))
     !hmax !ng !fails;
-  0
+  Ok 0
 
 let smallworld_cmd =
   obs_cmd "smallworld" ~doc:"Searchable small worlds on doubling metrics (Theorem 5.2, Section 5.2)."
@@ -656,6 +597,9 @@ let smallworld_cmd =
 (* --------------------------------------------------------------- inspect *)
 
 let run_inspect family n seed () =
+  user_error
+  @@
+  let* () = check_n n in
   let m = make_metric family n seed in
   (match Metric.check m with
   | Ok () -> ()
@@ -677,7 +621,7 @@ let run_inspect family n seed () =
   done;
   Printf.printf "\n  doubling measure: constant ~ %.1f\n"
     (Measure.doubling_constant_estimate mu idx rng);
-  0
+  Ok 0
 
 let inspect_cmd =
   obs_cmd "inspect" ~doc:"Print substrate facts (dimension, nets, doubling measure) about a metric."
@@ -792,16 +736,7 @@ let serve_cmd =
 
 (* ------------------------------------------------------------ experiment *)
 
-let experiments =
-  let module E = Ron_experiments in
-  [
-    ("t1", E.Exp_t1.run); ("t2", E.Exp_t2.run); ("t3", E.Exp_t3.run);
-    ("e21", E.Exp_e21.run); ("e32", E.Exp_e32.run); ("e34", E.Exp_e34.run);
-    ("e41", E.Exp_e41.run); ("e52a", E.Exp_e52.run_a); ("e52b", E.Exp_e52.run_b);
-    ("e54", E.Exp_e54.run); ("e55", E.Exp_e55.run); ("esub", E.Exp_esub.run); ("mer", E.Exp_mer.run);
-    ("fig1", E.Exp_fig1.run); ("fault", E.Exp_fault.run); ("scale", E.Exp_scale.run);
-    ("churn", E.Exp_churn.run);
-  ]
+let experiments = List.map (fun (id, _, run) -> (id, run)) Ron_experiments.Catalog.all
 
 let experiment_cmd =
   let id =

@@ -3,6 +3,9 @@ module Probe = Ron_obs.Probe
 module Scheme = Ron_routing.Scheme
 module Indexed = Ron_metric.Indexed
 module Rings = Ron_core.Rings
+module Basic = Ron_routing.Basic
+module Labelled = Ron_routing.Labelled
+module Two_mode = Ron_routing.Two_mode
 
 (* Dynamic membership over a frozen scheme: a seeded, jobs-invariant
    schedule of joins and leaves, a routing wrapper that detours around
@@ -560,4 +563,61 @@ module Driver = struct
         end)
       (Schedule.events sched);
     { joins = !joins; leaves = !leaves; cost = !total }
+end
+
+(* ------------------------------------------------------------- Repair *)
+
+module Repair = struct
+  type t = {
+    leave : int -> cost;
+    join : int -> cost;
+    backlog : unit -> int;
+    stale : unit -> int;
+  }
+
+  let overlay st rows ~relabel_cost =
+    let ov = Overlay.create st rows ~relabel_cost in
+    {
+      leave = Overlay.leave ov;
+      join = Overlay.join ov;
+      backlog = (fun () -> Overlay.backlog ov);
+      stale = (fun () -> Overlay.stale_entries ov);
+    }
+
+  let basic b st =
+    let rr = Ring_repair.create st (Basic.substrate b) (Basic.rings_collection b) in
+    {
+      leave = Ring_repair.leave rr;
+      join = Ring_repair.join rr;
+      backlog = (fun () -> 0);
+      stale = (fun () -> Ring_repair.stale_members rr);
+    }
+
+  let labelled ~n l =
+    let rows = Array.init n (Labelled.neighbors l) in
+    fun st -> overlay st rows ~relabel_cost:(fun v -> Array.length rows.(v))
+
+  (* Per-node row: the node's covering-ball hub pointers, then the member
+     lists of every global directory hubbed at it — churn repairs the
+     node's slice of the shared directory structure. The export reads all
+     n^2 distances, so it waits for the first repair: fault-only runs
+     never take it. *)
+  let two_mode tm =
+    let rows =
+      lazy
+        (let x = Two_mode.export tm in
+         let scales = Array.length x.Two_mode.x_hub_g in
+         let row u =
+           let dirs = ref [] in
+           for i = scales - 1 downto 0 do
+             let g = x.Two_mode.x_hub_g.(i).(u) in
+             if g >= 0 then dirs := x.Two_mode.x_dir_members.(g) :: !dirs
+           done;
+           Array.concat (x.Two_mode.x_hub_ptr.(u) :: !dirs)
+         in
+         (Array.init (Array.length x.Two_mode.x_hub_ptr) row, scales))
+    in
+    fun st ->
+      let rows, scales = Lazy.force rows in
+      overlay st rows ~relabel_cost:(fun _ -> scales)
 end

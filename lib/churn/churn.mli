@@ -207,3 +207,29 @@ module Driver : sig
       [churn.live_nodes]/[churn.repair_backlog] gauges per event (when
       probes are on). Strictly sequential by design. *)
 end
+
+(** {2 Per-scheme repair hooks} *)
+
+module Repair : sig
+  type t = {
+    leave : int -> cost;
+    join : int -> cost;
+    backlog : unit -> int;  (** the repair-backlog gauge (0 for ring repair) *)
+    stale : unit -> int;  (** residual stale references: 0 after repair *)
+  }
+  (** The callbacks {!Driver.apply} takes, over one repair structure. *)
+
+  val overlay : state -> int array array -> relabel_cost:(int -> int) -> t
+
+  val basic : Ron_routing.Basic.t -> state -> t
+  (** {!Ring_repair} over the Theorem 2.1 rings. *)
+
+  val labelled : n:int -> Ron_routing.Labelled.t -> state -> t
+  (** {!Overlay} over the Theorem 4.1 neighbor rows, read once per partial
+      application; a rejoin re-derives one label entry per neighbor. *)
+
+  val two_mode : Ron_routing.Two_mode.t -> state -> t
+  (** {!Overlay} over each node's Theorem 4.2 hub pointers and the member
+      lists of the directories hubbed at it, built on first use; a rejoin
+      re-derives one label entry per scale. *)
+end

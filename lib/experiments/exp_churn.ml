@@ -1,18 +1,14 @@
 module C = Exp_common
+module P = Perturbed
 module Rng = Ron_util.Rng
 module Graph_gen = Ron_graph.Graph_gen
 module Sp_metric = Ron_graph.Sp_metric
 module Indexed = Ron_metric.Indexed
 module Generators = Ron_metric.Generators
-module Basic = Ron_routing.Basic
-module Labelled = Ron_routing.Labelled
-module Two_mode = Ron_routing.Two_mode
-module Scheme = Ron_routing.Scheme
 module Fault = Ron_fault.Fault
 module Meridian = Ron_smallworld.Meridian
 module Landmark = Ron_labeling.Landmark
 module Churn = Ron_churn.Churn
-module Counter = Ron_obs.Counter
 module Probe = Ron_obs.Probe
 
 (* Churn sweep: symmetric join/leave rates over a fixed slot budget. Rate 0
@@ -40,65 +36,22 @@ let landmark_n () =
       | Some n when n >= 16 -> n
       | _ -> failwith (Printf.sprintf "bad RON_CHURN_N %S" s))
 
-(* Apply the schedule with probes forced on, so the churn.* counters see
-   the repair work even when the harness runs without observability. *)
-let apply_probed sched st ~on_leave ~on_join ?backlog () =
-  let was_on = !Probe.on in
-  Probe.on := true;
-  Fun.protect
-    ~finally:(fun () -> Probe.on := was_on)
-    (fun () -> Churn.Driver.apply sched st ~on_leave ~on_join ?backlog ())
-
-type churn_counts = { stale_hits : int; detours : int }
-
-let with_churn_counts f =
-  let s0 = Counter.value Probe.churn_stale_hits in
-  let d0 = Counter.value Probe.churn_detours in
-  let x = f () in
-  ( x,
-    {
-      stale_hits = Counter.value Probe.churn_stale_hits - s0;
-      detours = Counter.value Probe.churn_detours - d0;
-    } )
-
 let ev_cell (s : Churn.Driver.summary) =
   C.cell ~w:9 (Printf.sprintf "%dJ/%dL" s.Churn.Driver.joins s.Churn.Driver.leaves)
 
 let per_event total events = float_of_int total /. float_of_int (max 1 events)
 
-let sweep_header () =
-  C.header
-    [
-      C.cell ~w:5 "rate"; C.cell ~w:9 "events"; C.cell ~w:6 "pairs";
-      C.cell ~w:9 "del.rate"; C.cell ~w:11 "stretch mn"; C.cell ~w:8 "inflate";
-      C.cell ~w:8 "stale/q"; C.cell ~w:9 "detour/q"; C.cell ~w:7 "rep/ev";
-      C.cell ~w:9 "refill/ev"; C.cell ~w:6 "stale";
-    ]
-
 (* One sweep row: apply the rate's schedule through the scheme's repair
    hooks, then route the still-live sampled pairs through the churn
-   wrapper (optionally composed under an extra fault wrapper). [stale] is
-   the repair structure's residual stale-reference count — the invariant
-   the incremental repair maintains at 0. *)
-let sweep_row ?(label = None) ?(extra = fun ~query:_ -> Scheme.identity_wrapper)
-    ~rate ~make_repair ~route_wrapped ~dist ~parallel pairs base_stretch =
-  let sched, st, on_leave, on_join, backlog, stale_after = make_repair rate in
-  let summary = apply_probed sched st ~on_leave ~on_join ?backlog () in
+   wrapper (optionally under a fault model). [stale] is the repair
+   structure's residual stale-reference count — the invariant the
+   incremental repair maintains at 0. *)
+let sweep_row ?label ?fault target pairs base_stretch rate =
+  let o = P.run ?fault ~schedule:(schedule_for ~n:target.P.n rate) target pairs in
+  let c = Option.get o.P.churned and q = o.P.quality in
+  let summary = c.P.summary in
   let events = summary.Churn.Driver.joins + summary.Churn.Driver.leaves in
-  let live_pairs =
-    List.filter (fun (u, v) -> Churn.is_live st u && Churn.is_live st v) pairs
-  in
-  let cw = Churn.wrapper st in
-  let route ~query u v =
-    route_wrapped (Scheme.compose (extra ~query) cw) ~src:u ~dst:v
-  in
-  let q, cc =
-    with_churn_counts (fun () ->
-        C.collect_routes_keyed ~parallel ~route ~dist live_pairs)
-  in
   if Float.is_nan !base_stretch then base_stretch := q.C.stretch_mean;
-  let nq = max 1 q.C.queries in
-  let delivered = q.C.queries - q.C.failures in
   C.row
     [
       (match label with
@@ -106,83 +59,49 @@ let sweep_row ?(label = None) ?(extra = fun ~query:_ -> Scheme.identity_wrapper)
       | None -> C.cell_float ~w:5 ~prec:2 rate);
       ev_cell summary;
       C.cell_int ~w:6 q.C.queries;
-      C.cell_float ~w:9 (float_of_int delivered /. float_of_int nq);
+      C.cell_float ~w:9 o.P.delivery_rate;
       C.cell_float ~w:11 q.C.stretch_mean;
       C.cell_float ~w:8 (q.C.stretch_mean /. !base_stretch);
-      C.cell_float ~w:8 (float_of_int cc.stale_hits /. float_of_int nq);
-      C.cell_float ~w:9 (float_of_int cc.detours /. float_of_int nq);
+      C.cell_float ~w:8 (P.per_query o "stale hits");
+      C.cell_float ~w:9 (P.per_query o "detours");
       C.cell_float ~w:7 ~prec:1 (per_event summary.Churn.Driver.cost.Churn.updates events);
       C.cell_float ~w:9 ~prec:1 (per_event summary.Churn.Driver.cost.Churn.refills events);
-      C.cell_int ~w:6 (stale_after ());
+      C.cell_int ~w:6 (c.P.repair.Churn.Repair.stale ());
     ];
   if q.C.failures > 0 then C.note (C.pp_observed q);
   if !Ron_obs.Telemetry.active then Ron_obs.Telemetry.tick ()
 
-let run () =
-  C.section "CHURN"
-    "Dynamic membership: seeded joins/leaves with incremental ring repair";
-  let rebuilds0 = Counter.value Probe.churn_rebuilds in
+let sweep target pairs =
+  C.header
+    [
+      C.cell ~w:5 "rate"; C.cell ~w:9 "events"; C.cell ~w:6 "pairs";
+      C.cell ~w:9 "del.rate"; C.cell ~w:11 "stretch mn"; C.cell ~w:8 "inflate";
+      C.cell ~w:8 "stale/q"; C.cell ~w:9 "detour/q"; C.cell ~w:7 "rep/ev";
+      C.cell ~w:9 "refill/ev"; C.cell ~w:6 "stale";
+    ];
+  let base = ref nan in
+  List.iter (sweep_row target pairs base) rates;
+  base
+
+let sections () =
   let rng = Rng.create 83 in
 
   let sp = Sp_metric.create (Graph_gen.grid 10 10) in
   let n = Ron_graph.Graph.size (Sp_metric.graph sp) in
   let pairs = C.sample_pairs (Rng.split rng) ~n ~count:500 in
-  let dist u v = Sp_metric.dist sp u v in
 
   C.subsection "Thm 2.1 (Basic) on grid10x10: ring refill by bounded-radius exploration";
-  let b = Basic.build sp ~delta:0.25 in
-  let make_repair rate =
-    let sched = schedule_for ~n rate in
-    let st = Churn.state_of_schedule sched in
-    let rr = Churn.Ring_repair.create st (Basic.substrate b) (Basic.rings_collection b) in
-    ( sched, st,
-      (fun v -> Churn.Ring_repair.leave rr v),
-      (fun v -> Churn.Ring_repair.join rr v),
-      None,
-      fun () -> Churn.Ring_repair.stale_members rr )
-  in
-  let base = ref nan in
-  sweep_header ();
-  List.iter
-    (fun rate ->
-      sweep_row ~rate ~make_repair
-        ~route_wrapped:(fun w ~src ~dst -> Basic.route_wrapped w b ~src ~dst)
-        ~dist ~parallel:true pairs base)
-    rates;
+  let basic = P.basic sp (Ron_routing.Basic.build sp ~delta:0.25) in
+  let base = sweep basic pairs in
   (* One composed row: churn at 0.05 plus per-hop message drops — the two
      wrappers stack through Scheme.compose, drops outermost. *)
-  let fdrop = Fault.make ~seed:4242 ~crash_fraction:0.0 ~drop_rate:0.0125 ~dead_link_fraction:0.0 ~n () in
-  sweep_row ~label:(Some "+drop") ~extra:(fun ~query -> Fault.wrapper fdrop ~query)
-    ~rate:0.05 ~make_repair
-    ~route_wrapped:(fun w ~src ~dst -> Basic.route_wrapped w b ~src ~dst)
-    ~dist ~parallel:true pairs base;
+  let fault = Fault.make ~seed:4242 ~crash_fraction:0.0 ~drop_rate:0.0125 ~dead_link_fraction:0.0 ~n () in
+  sweep_row ~label:"+drop" ~fault basic pairs base 0.05;
   C.note "Leaves are repaired in place: each ring that lost a member refills with";
   C.note "the nearest live node inside the ring's own ball (never a rebuild).";
 
   C.subsection "Thm 4.1 (Labelled) on grid10x10: neighbor-table overlay repair";
-  let l = Labelled.build sp ~delta:0.25 in
-  let lrows = Array.init n (fun u -> Labelled.neighbors l u) in
-  let make_repair rate =
-    let sched = schedule_for ~n rate in
-    let st = Churn.state_of_schedule sched in
-    let ov =
-      Churn.Overlay.create st lrows
-        ~relabel_cost:(fun v -> Array.length lrows.(v))
-    in
-    ( sched, st,
-      (fun v -> Churn.Overlay.leave ov v),
-      (fun v -> Churn.Overlay.join ov v),
-      Some (fun () -> Churn.Overlay.backlog ov),
-      fun () -> Churn.Overlay.stale_entries ov )
-  in
-  let base = ref nan in
-  sweep_header ();
-  List.iter
-    (fun rate ->
-      sweep_row ~rate ~make_repair
-        ~route_wrapped:(fun w ~src ~dst -> Labelled.route_wrapped w l ~src ~dst)
-        ~dist ~parallel:true pairs base)
-    rates;
+  ignore (sweep (P.labelled sp (Ron_routing.Labelled.build sp ~delta:0.25)) pairs);
   C.note "A departed neighbor is substituted from the referrer's own pristine row;";
   C.note "a rejoin re-derives its label and is re-adopted at its old positions.";
 
@@ -195,58 +114,13 @@ let run () =
       (Generators.clustered_latency (Rng.split rng) ~clusters:6 ~per_cluster:30
          ~spread:30.0 ~access:6.0)
   in
-  let n8 = Indexed.size idx8 in
-  let tm = Two_mode.build idx8 ~delta:0.125 in
-  let x = Two_mode.export tm in
-  (* Per-node row: the node's covering-ball hub pointers, then the member
-     lists of every global directory hubbed at it — churn repairs the
-     node's slice of the shared directory structure. *)
-  let tmrows =
-    Array.init n8 (fun u ->
-        let dirs = ref [] in
-        for i = Array.length x.Two_mode.x_hub_g - 1 downto 0 do
-          let g = x.Two_mode.x_hub_g.(i).(u) in
-          if g >= 0 then dirs := x.Two_mode.x_dir_members.(g) :: !dirs
-        done;
-        Array.concat (x.Two_mode.x_hub_ptr.(u) :: !dirs))
-  in
-  let scales8 = Array.length x.Two_mode.x_hub_g in
-  let pairs8 = C.sample_pairs (Rng.split rng) ~n:n8 ~count:300 in
-  let make_repair rate =
-    let sched = schedule_for ~n:n8 rate in
-    let st = Churn.state_of_schedule sched in
-    let ov = Churn.Overlay.create st tmrows ~relabel_cost:(fun _ -> scales8) in
-    ( sched, st,
-      (fun v -> Churn.Overlay.leave ov v),
-      (fun v -> Churn.Overlay.join ov v),
-      Some (fun () -> Churn.Overlay.backlog ov),
-      fun () -> Churn.Overlay.stale_entries ov )
-  in
-  let base = ref nan in
-  sweep_header ();
-  List.iter
-    (fun rate ->
-      sweep_row ~rate ~make_repair
-        ~route_wrapped:(fun w ~src ~dst -> Two_mode.route_wrapped w tm ~src ~dst)
-        ~dist:(fun u v -> Indexed.dist idx8 u v)
-        ~parallel:false pairs8 base)
-    rates;
+  let tm = P.two_mode idx8 (Ron_routing.Two_mode.build idx8 ~delta:0.125) in
+  ignore (sweep tm (C.sample_pairs (Rng.split rng) ~n:tm.P.n ~count:300));
   C.note "Directory entries are repaired at their hub node; any live member of a";
   C.note "scale-i directory can stand in for a departed one.";
 
   C.subsection "Meridian: membership churn with ranked ring replacement";
-  let idxm =
-    Indexed.create
-      (Generators.clustered_latency (Rng.split rng) ~clusters:6 ~per_cluster:30
-         ~spread:30.0 ~access:6.0)
-  in
-  let nm = Indexed.size idxm in
-  let perm = Array.init nm Fun.id in
-  Rng.shuffle rng perm;
-  let cut = nm / 5 in
-  let targets = Array.sub perm 0 cut and members = Array.sub perm cut (nm - cut) in
-  let m0 = Meridian.build idxm (Rng.split rng) ~ring_size:8 ~members in
-  let starts = Array.map (fun _ -> members.(Rng.int rng (Array.length members))) targets in
+  let idxm, m0, targets, starts = P.meridian_instance rng in
   C.header
     [
       C.cell ~w:5 "rate"; C.cell ~w:9 "events"; C.cell ~w:8 "queries";
@@ -255,44 +129,29 @@ let run () =
     ];
   List.iter
     (fun rate ->
-      let sched = schedule_for ~eligible:(fun v -> Meridian.is_member m0 v) ~n:nm rate in
+      let sched = schedule_for ~eligible:(fun v -> Meridian.is_member m0 v) ~n:(Indexed.size idxm) rate in
       let st = Churn.state_of_schedule sched in
       let mc = Meridian.copy m0 in
       let mrng = Rng.create (Rng.mix churn_seed 0x7e5d) in
+      let leave v =
+        let updates, refills = Meridian.leave_counted mc v in
+        { Churn.updates; refills; relabels = 0 }
+      and join v =
+        let w = Meridian.join_counted mc mrng v in
+        { Churn.updates = w; refills = w; relabels = 0 }
+      in
       let summary =
-        apply_probed sched st
-          ~on_leave:(fun v ->
-            let updates, refills = Meridian.leave_counted mc v in
-            { Churn.updates; refills; relabels = 0 })
-          ~on_join:(fun v ->
-            let w = Meridian.join_counted mc mrng v in
-            { Churn.updates = w; refills = w; relabels = 0 })
-          ()
+        P.apply sched st { Churn.Repair.leave; join; backlog = (fun () -> 0); stale = (fun () -> 0) }
       in
       let events = summary.Churn.Driver.joins + summary.Churn.Driver.leaves in
-      let exact = ref 0 and total = ref 0 and ratio = ref 1.0 in
-      Array.iteri
-        (fun i tgt ->
-          let start = starts.(i) in
-          if Churn.is_live st start then begin
-            let r = Meridian.closest mc ~start ~target:tgt in
-            let truth = Meridian.exact_closest mc tgt in
-            incr total;
-            if r.Meridian.found = truth then incr exact
-            else begin
-              let a = Indexed.dist idxm r.Meridian.found tgt
-              and b = Indexed.dist idxm truth tgt in
-              ratio := Float.max !ratio (a /. Float.max b 1e-12)
-            end
-          end)
-        targets;
+      let l = P.closest ~live:(Churn.is_live st) idxm mc ~starts targets in
       C.row
         [
           C.cell_float ~w:5 ~prec:2 rate;
           ev_cell summary;
-          C.cell_int ~w:8 !total;
-          C.cell ~w:11 (Printf.sprintf "%d/%d" !exact !total);
-          C.cell_float ~w:12 !ratio;
+          C.cell_int ~w:8 l.P.total;
+          C.cell ~w:11 (Printf.sprintf "%d/%d" l.P.exact l.P.total);
+          C.cell_float ~w:12 l.P.worst_ratio;
           C.cell_float ~w:7 ~prec:1 (per_event summary.Churn.Driver.cost.Churn.updates events);
           C.cell_float ~w:9 ~prec:1 (per_event summary.Churn.Driver.cost.Churn.refills events);
         ];
@@ -323,17 +182,10 @@ let run () =
     (fun rate ->
       let sched = schedule_for ~eligible:(fun v -> not is_beacon.(v)) ~n:nn rate in
       let st = Churn.state_of_schedule sched in
-      let ov =
-        Churn.Overlay.create st balls
-          ~relabel_cost:(fun v -> k + Array.length balls.(v))
+      let r =
+        Churn.Repair.overlay st balls ~relabel_cost:(fun v -> k + Array.length balls.(v))
       in
-      let summary =
-        apply_probed sched st
-          ~on_leave:(fun v -> Churn.Overlay.leave ov v)
-          ~on_join:(fun v -> Churn.Overlay.join ov v)
-          ~backlog:(fun () -> Churn.Overlay.backlog ov)
-          ()
-      in
+      let summary = P.apply sched st r in
       let events = summary.Churn.Driver.joins + summary.Churn.Driver.leaves in
       C.row
         [
@@ -343,14 +195,20 @@ let run () =
           C.cell_float ~w:7 ~prec:1 (per_event summary.Churn.Driver.cost.Churn.updates events);
           C.cell_float ~w:9 ~prec:1 (per_event summary.Churn.Driver.cost.Churn.refills events);
           C.cell_float ~w:10 ~prec:1 (per_event summary.Churn.Driver.cost.Churn.relabels events);
-          C.cell_int ~w:8 (Churn.Overlay.backlog ov);
-          C.cell_int ~w:6 (Churn.Overlay.stale_entries ov);
+          C.cell_int ~w:8 (r.Churn.Repair.backlog ());
+          C.cell_int ~w:6 (r.Churn.Repair.stale ());
         ];
       if !Ron_obs.Telemetry.active then Ron_obs.Telemetry.tick ())
     rates;
   C.note "Beacons are fenced off the schedule (their rows are load-bearing); a";
   C.note "rejoining node re-derives k beacon distances plus its ball — per-event";
-  C.note "work stays bounded by the event's footprint, independent of n.";
-  C.note
-    (Printf.sprintf "churn.rebuilds = %d (incremental repair only; must stay 0)"
-       (Counter.value Probe.churn_rebuilds - rebuilds0))
+  C.note "work stays bounded by the event's footprint, independent of n."
+
+let run () =
+  C.section "CHURN"
+    "Dynamic membership: seeded joins/leaves with incremental ring repair";
+  let (), rebuilds = Probe.deltas [ ("churn.rebuilds", Probe.churn_rebuilds) ] sections in
+  List.iter
+    (fun (name, d) ->
+      C.note (Printf.sprintf "%s = %d (incremental repair only; must stay 0)" name d))
+    rebuilds

@@ -73,12 +73,8 @@ let collect_routes_keyed ?(parallel = true) ~route ~dist pairs =
     if !Ron_obs.Telemetry.active then Ron_obs.Telemetry.tick ();
     r
   in
-  let was_on = !Ron_obs.Probe.on in
-  Ron_obs.Probe.on := true;
   let results =
-    Fun.protect
-      ~finally:(fun () -> Ron_obs.Probe.on := was_on)
-      (fun () ->
+    Ron_obs.Probe.forced (fun () ->
         Ron_obs.Profile.phase "query.routes" (fun () ->
             if parallel then Ron_util.Pool.init np eval else Array.init np eval))
   in

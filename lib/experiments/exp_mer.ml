@@ -11,11 +11,7 @@ let query_quality t idx targets members rng =
   (* Hops and probes are read from the observed cost ledger (each query is
      charged to an entry keyed by its target index), not from the walk's
      self-reported counters. *)
-  let was_on = !Ron_obs.Probe.on in
-  Ron_obs.Probe.on := true;
-  Fun.protect
-    ~finally:(fun () -> Ron_obs.Probe.on := was_on)
-    (fun () ->
+  Ron_obs.Probe.forced (fun () ->
       Array.iteri
         (fun i tgt ->
           let start = members.(Rng.int rng (Array.length members)) in

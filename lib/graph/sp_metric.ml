@@ -12,21 +12,6 @@ type t = { graph : Graph.t; backend : backend; metric : Ron_metric.Metric.t }
    their output byte-identical. *)
 let eager_threshold = 4096
 
-let mode_of_env () =
-  match Sys.getenv_opt "RON_SP_MODE" with
-  | Some "eager" -> Some Eager
-  | Some ("ondemand" | "on-demand" | "oracle") -> Some On_demand
-  | Some "auto" | Some "" | None -> None
-  | Some other -> invalid_arg ("Sp_metric: bad RON_SP_MODE " ^ other)
-
-let resolve_mode mode n =
-  match mode with
-  | Some m -> m
-  | None -> (
-    match mode_of_env () with
-    | Some m -> m
-    | None -> if n <= eager_threshold then Eager else On_demand)
-
 let raw_dist backend u v =
   match backend with
   | Apsp a -> Dijkstra.distance a u v
@@ -37,7 +22,7 @@ let create ?jobs ?mode g =
   if not (Graph.is_connected g) then invalid_arg "Sp_metric.create: graph must be connected";
   let n = Graph.size g in
   let backend =
-    match resolve_mode mode n with
+    match Option.value mode ~default:(if n <= eager_threshold then Eager else On_demand) with
     | Eager -> Apsp (Dijkstra.all_pairs ?jobs g)
     | On_demand -> Oracle (Dijkstra.Oracle.create g)
   in

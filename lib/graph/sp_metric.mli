@@ -10,9 +10,8 @@
 
     Both backends run the same single-source core, so every distance and
     first-hop bit is identical between modes; only time/space trade-offs
-    differ. Mode selection: the [?mode] argument, else the [RON_SP_MODE]
-    environment variable ([eager] | [ondemand] | [auto]), else automatic
-    (eager iff [n <= 4096]).
+    differ. Mode selection: the [?mode] argument, else automatic (eager
+    iff [n <= 4096]).
 
     The induced metric (a "doubling graph" in the paper's sense is a graph
     whose [Sp_metric] has low doubling dimension) canonicalizes symmetric

@@ -12,6 +12,16 @@
 
 let on = ref false
 
+let forced f =
+  let was_on = !on in
+  on := true;
+  Fun.protect ~finally:(fun () -> on := was_on) f
+
+let deltas named f =
+  let base = List.map (fun (_, c) -> Counter.value c) named in
+  let x = f () in
+  (x, List.map2 (fun (k, c) v0 -> (k, Counter.value c - v0)) named base)
+
 (* -- counters, one per instrumented event kind -------------------------- *)
 
 let dist_evals = Counter.make "metric.dist_evals"

@@ -9,6 +9,13 @@ val on : bool ref
 (** The master switch. Set it before spawning Pool domains (they inherit
     the store visibly through [Domain.spawn]). *)
 
+val forced : (unit -> 'a) -> 'a
+(** Run with the switch on, restoring its previous state afterwards (also
+    when the thunk raises). *)
+
+val deltas : ('k * Counter.t) list -> (unit -> 'a) -> 'a * ('k * int) list
+(** Run the thunk and report how far each named counter moved. *)
+
 (** Counters, exposed so reports can read totals directly. *)
 
 val dist_evals : Counter.t

@@ -58,7 +58,31 @@ let user_errors () =
       (2, "--expo", [ "inspect"; "-n"; "16"; "--expo"; bad ]);
       (2, "--slo-out", [ "serve"; "-n"; "16"; "--slo"; "delivery>=0.5"; "--slo-out"; bad ]);
       (2, "--telemetry-interval", [ "inspect"; "-n"; "16"; "--telemetry-interval"; "0" ]);
+      (2, "--crash", [ "fault"; "--crash"; "1.5" ]);
+      (2, "--drop", [ "fault"; "--drop=-1" ]);
+      (2, "--dead-links", [ "fault"; "--dead-links=1" ]);
+      (2, "--crash", [ "churn"; "--crash"; "1.0" ]);
+      (2, "--join-rate", [ "churn"; "--join-rate"; "2" ]);
+      (2, "--join-rate", [ "churn"; "--join-rate"; "0.7"; "--leave-rate"; "0.7" ]);
+      (2, "--slots", [ "churn"; "--slots=-1" ]);
+      (2, "--delta", [ "route"; "--delta=0" ]);
+      (2, "--delta", [ "fault"; "--delta=0" ]);
+      (2, "--delta", [ "churn"; "--delta=0" ]);
+      (2, "--delta", [ "estimate"; "--delta=0" ]);
+      (2, "-n", [ "route"; "-n"; "1" ]);
+      (2, "-n", [ "churn"; "-n"; "1" ]);
     ]
+
+(* Every wrapped scheme routes under faults and under churn, and churn
+   repair leaves no stale reference behind. *)
+let perturbed_runs () =
+  List.iter
+    (fun scheme ->
+      let args cmd = [ cmd; "-m"; "grid"; "-n"; "36"; "--scheme"; scheme ] in
+      expect 0 ~stdout_has:"delivery rate" (args "fault");
+      expect 0 ~stdout_has:"delivery rate" (args "churn");
+      expect 0 ~stdout_has:"stale after 0" (args "churn"))
+    [ "thm21"; "thm41"; "thm42" ]
 
 let check_trace () =
   let trace = path "route.jsonl" in
@@ -101,6 +125,8 @@ let () =
           ( "contract",
             [
               Alcotest.test_case "user errors exit 2 or 124, never 125" `Quick user_errors;
+              Alcotest.test_case "fault and churn run every wrapped scheme" `Quick
+                perturbed_runs;
               Alcotest.test_case "check trace accepts a run, rejects a truncated copy" `Quick
                 check_trace;
               Alcotest.test_case "check and report the serve artifacts" `Quick serve_artifacts;
