@@ -106,25 +106,30 @@ telemetry-smoke: build
 	grep -q '"gc.major_words"' /tmp/ron_telemetry_smoke_report.json
 	grep -q '"gauge:oracle.rows_cached"' /tmp/ron_telemetry_smoke_report.json
 
-# Serving smoke: freeze a scheme into an off-heap snapshot, serve a seeded
-# Zipf-skewed batch workload from it twice — once warm (built in-process,
-# saving the snapshot) and once cold (reloaded from the file) — and assert
-# the two runs produced byte-identical results (same workload digest).
-# RON_JOBS=4 on the cold run doubles as a jobs-invariance check.
+# Serving smoke, for every frozen scheme: freeze it into an off-heap
+# snapshot, serve a seeded Zipf-skewed batch workload from it twice — once
+# warm (built in-process, saving the snapshot) and once cold (reloaded from
+# the file) — and assert the two runs produced byte-identical results (same
+# workload digest). RON_JOBS=4 on the cold run doubles as a jobs-invariance
+# check. Labelled serves about 1 k queries/s at n = 100, so it gets fewer
+# queries. Outputs land in /tmp for CI to archive.
 SERVE_SMOKE_N ?= 100
 SERVE_SMOKE_QUERIES ?= 20000
 serve-smoke: build
-	dune exec bin/ron_cli.exe -- serve --scheme basic -n $(SERVE_SMOKE_N) \
-	  --queries $(SERVE_SMOKE_QUERIES) --snapshot /tmp/ron_serve_smoke.snap \
-	  | tee /tmp/ron_serve_smoke_warm.txt
-	RON_JOBS=4 dune exec bin/ron_cli.exe -- serve --load /tmp/ron_serve_smoke.snap \
-	  --queries $(SERVE_SMOKE_QUERIES) \
-	  | tee /tmp/ron_serve_smoke_cold.txt
-	@warm=$$(grep -o 'digest=[0-9a-f]*' /tmp/ron_serve_smoke_warm.txt); \
-	cold=$$(grep -o 'digest=[0-9a-f]*' /tmp/ron_serve_smoke_cold.txt); \
-	if [ "$$warm" != "$$cold" ]; then \
-	  echo "serve-smoke: warm/cold digests differ ($$warm vs $$cold)"; exit 1; \
-	else echo "serve-smoke: warm/cold digests match ($$warm)"; fi
+	@set -e; for s in basic labelled two_mode meridian landmark; do \
+	  q=$(SERVE_SMOKE_QUERIES); \
+	  if [ $$s = labelled ]; then q=2000; fi; \
+	  out=/tmp/ron_serve_smoke_$$s; \
+	  dune exec bin/ron_cli.exe -- serve --scheme $$s -n $(SERVE_SMOKE_N) \
+	    --queries $$q --snapshot $$out.snap | tee $${out}_warm.txt; \
+	  RON_JOBS=4 dune exec bin/ron_cli.exe -- serve --load $$out.snap \
+	    --queries $$q | tee $${out}_cold.txt; \
+	  warm=$$(grep -o 'digest=[0-9a-f]*' $${out}_warm.txt); \
+	  cold=$$(grep -o 'digest=[0-9a-f]*' $${out}_cold.txt); \
+	  if [ "$$warm" != "$$cold" ]; then \
+	    echo "serve-smoke: $$s warm/cold digests differ ($$warm vs $$cold)"; exit 1; \
+	  else echo "serve-smoke: $$s warm/cold digests match ($$warm)"; fi; \
+	done
 
 # SLO smoke: serve a batch with the burn-rate monitor, flight recorder,
 # and Prometheus exposition all on; validate the exposition file, render

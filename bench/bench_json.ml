@@ -20,9 +20,9 @@ let to_string = Ron_obs.Json.to_string
 (* ---------------------------------------------------------------- timing *)
 
 let time f =
-  let t0 = Unix.gettimeofday () in
+  let t0 = Ron_obs.Clock.now_ns () in
   let r = f () in
-  (r, Unix.gettimeofday () -. t0)
+  (r, float_of_int (Ron_obs.Clock.now_ns () - t0) /. 1e9)
 
 let time_unit f = snd (time f)
 
@@ -355,7 +355,7 @@ let serve_section () =
             instance and workload keep the section inside a CI budget. *)
          let (n, queries) = if scheme = "labelled" then (64, 400) else (100, 4_000) in
          serve_scheme_entry ~scheme ~n ~queries)
-       Ron_serve.Fixture.names)
+       (List.map snd Ron_serve.Server.schemes))
 
 (* ----------------------------------------------------- slo / flight path *)
 
@@ -426,7 +426,7 @@ let slo_section () =
          (* Same instance sizing rationale as serve_section. *)
          let (n, queries) = if scheme = "labelled" then (64, 400) else (100, 4_000) in
          slo_scheme_entry ~scheme ~n ~queries)
-       Ron_serve.Fixture.names)
+       (List.map snd Ron_serve.Server.schemes))
 
 (* -------------------------------------------- Table 1-3 headline numbers *)
 
@@ -599,7 +599,7 @@ let run ?(scale_sizes = [ 10_000 ]) ?(scale_only = false) ~(telemetry : Cli_obs.
      report gains a "profile" section breaking construction and query time
      down per phase (ron_cli diff ignores it — wall-clock phase shapes are
      not regression signals). *)
-  Ron_obs.Profile.enable ~clock:Cli_obs.ns_clock ();
+  Ron_obs.Profile.enable ~clock:Ron_obs.Clock.now ();
   Ron_obs.Profile.reset ();
   (* The telemetry sampler (if requested) rides along too. It needs the
      probes on — which perturbs the timed sections slightly, so pass

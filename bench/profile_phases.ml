@@ -21,7 +21,7 @@
 let () =
   let module Profile = Ron_obs.Profile in
   let module Indexed = Ron_metric.Indexed in
-  Profile.enable ~clock:Cli_obs.ns_clock ();
+  Profile.enable ~clock:Ron_obs.Clock.now ();
   let sp_big = Ron_graph.Sp_metric.create (Ron_graph.Graph_gen.grid 31 31) in
   ignore (Ron_routing.Basic.build sp_big ~delta:0.25);
   let sp_small = Ron_graph.Sp_metric.create (Ron_graph.Graph_gen.grid 14 14) in

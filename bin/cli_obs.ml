@@ -1,7 +1,5 @@
 open Cmdliner
 
-let ns_clock () = Int64.of_float (Unix.gettimeofday () *. 1e9)
-
 type telemetry = { file : string option; interval_ms : int }
 
 type t = {
@@ -80,7 +78,7 @@ let check_telemetry tel =
 let start_telemetry ?expo tel =
   Option.iter
     (fun file ->
-      Ron_obs.Telemetry.start ~clock:ns_clock
+      Ron_obs.Telemetry.start ~clock:Ron_obs.Clock.now
         ~interval:(Int64.of_int (tel.interval_ms * 1_000_000))
         ?expo
         (Ron_obs.Trace.channel_sink (open_out file)))
@@ -116,9 +114,10 @@ let with_obs o f =
     Ron_util.Pool.set_default_jobs o.jobs;
     Option.iter
       (fun file ->
-        Ron_obs.Trace.configure ~clock:ns_clock (Ron_obs.Trace.channel_sink (open_out file)))
+        Ron_obs.Trace.configure ~clock:Ron_obs.Clock.now
+          (Ron_obs.Trace.channel_sink (open_out file)))
       o.trace;
-    if o.profile <> None then Ron_obs.Profile.enable ~clock:ns_clock ();
+    if o.profile <> None then Ron_obs.Profile.enable ~clock:Ron_obs.Clock.now ();
     start_telemetry ?expo:o.expo o.telemetry;
     (* Telemetry and exposition need the probes on: counters, gauges and
        bucketed histograms are all recorded behind [Probe.on]. *)

@@ -2,10 +2,6 @@
     subcommand and by [bench/main.exe]. A flag error is a user error: the
     message, naming the flag, goes to stderr and the exit code is 2. *)
 
-val ns_clock : unit -> int64
-(** Wall-clock nanoseconds: the one clock handed to the trace sink, the
-    phase profiler and the telemetry sampler. *)
-
 type telemetry = { file : string option; interval_ms : int }
 
 type t = {

@@ -348,23 +348,25 @@ let route_cmd =
 (* ----------------------------------------------------------------- fault *)
 
 (* The schemes with a wrapped (fault- and churn-aware) router, shared by
-   the fault and churn subcommands: report title, flight-recorder tag,
-   delta range, and the build from the metric flags. *)
+   the fault and churn subcommands: report title, flight-recorder tag
+   (the frozen scheme's, from the serve table), delta range, and the build
+   from the metric flags. *)
 let wrapped_schemes =
   let on_graph target family n seed delta =
     let sp, _, _ = make_graph family n seed in
     target sp delta
   in
+  let tag name = fst (List.find (fun (_, s) -> s = name) Ron_serve.Server.schemes) in
   [
     ( "thm21",
-      ( "Thm 2.1", 1, positive,
+      ( "Thm 2.1", tag "basic", positive,
         on_graph (fun sp delta ->
             P.basic sp (Ron_routing.Basic.build sp ~delta:(Float.min delta 0.25))) ) );
     ( "thm41",
-      ( "Thm 4.1", 2, labelled_range,
+      ( "Thm 4.1", tag "labelled", labelled_range,
         on_graph (fun sp delta -> P.labelled sp (Ron_routing.Labelled.build sp ~delta)) ) );
     ( "thm42",
-      ( "Thm 4.2 two-mode", 3, positive,
+      ( "Thm 4.2 two-mode", tag "two_mode", positive,
         fun family n seed delta ->
           let idx, _, _ = metric_substrate family n seed in
           P.two_mode idx (Ron_routing.Two_mode.build idx ~delta:(Float.min delta 0.125)) ) );
@@ -461,14 +463,6 @@ let check_churn c =
   else if c.slots < 0 then Error (Printf.sprintf "--slots %d: must be non-negative" c.slots)
   else Ok ()
 
-(* The flight recorder's outcome codes, as the frozen server writes them. *)
-let outcome_code = function
-  | Scheme.Delivered -> 0
-  | Truncated -> 1
-  | Self_forward -> 2
-  | Cycled -> 3
-  | Dropped -> 4
-
 let run_churn family n seed delta pairs scheme c f flags () =
   user_error
   @@
@@ -511,14 +505,14 @@ let run_churn family n seed delta pairs scheme c f flags () =
   | _ ->
     List.iteri
       (fun i (u, v) ->
-        let t0 = Unix.gettimeofday () in
+        let t0 = Ron_obs.Clock.now_ns () in
         let r = t.P.route_wrapped (o.P.wrapper i) u v in
-        let lat_ns = int_of_float ((Unix.gettimeofday () -. t0) *. 1e9) in
+        let lat_ns = Ron_obs.Clock.now_ns () - t0 in
         (match flight_rec with
         | Some fr ->
           Flight.record fr ~qid:i ~scheme:tag ~kind:0 ~src:u ~dst:v
-            ~outcome:(outcome_code r.Scheme.outcome) ~hops:r.Scheme.hops ~lat:lat_ns ~trace:[||]
-            ~trace_len:(-1)
+            ~outcome:(Ron_serve.Server.outcome_code r.Scheme.outcome) ~hops:r.Scheme.hops
+            ~lat:lat_ns ~trace:[||] ~trace_len:(-1)
         | None -> ());
         match slo_mon with
         | Some s -> Slo.observe s ~lat:(float_of_int lat_ns) ~ok:r.Scheme.delivered
@@ -631,7 +625,7 @@ let inspect_cmd =
 
 let serve_scheme_arg =
   enum_arg [ "scheme" ]
-    (List.map (fun k -> (k, k)) Ron_serve.Fixture.names)
+    (List.map (fun (_, k) -> (k, k)) Ron_serve.Server.schemes)
     ~default:"basic" ~docv:"SCHEME" ~doc:"Scheme to serve"
 
 let snapshot_arg =
@@ -711,11 +705,11 @@ let run_serve scheme n seed snapshot load queries batch zipf mix flags () =
   else begin
     let work = Loop.prepare t ~seed ~queries ~zipf_s:zipf ~route_frac ~dist_frac in
     let res = Loop.results_create queries in
-    let t0 = Unix.gettimeofday () in
+    let t0 = Ron_obs.Clock.now_ns () in
     (match observers with
     | None, None -> Loop.run ~batch t work res
     | _ -> Loop.run_observed ~batch ~wall:true ?flight:flight_rec ?slo:slo_mon t work res);
-    let dt = Unix.gettimeofday () -. t0 in
+    let dt = float_of_int (Ron_obs.Clock.now_ns () - t0) /. 1e9 in
     let qps = float_of_int queries /. Float.max dt 1e-9 in
     Printf.printf "queries=%d batch=%d elapsed=%.3fs qps=%.0f digest=%x\n" queries batch dt qps
       (Loop.digest res);

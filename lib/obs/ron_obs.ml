@@ -8,6 +8,7 @@
    Hence a run at RON_JOBS=4 snapshots byte-identically to RON_JOBS=1. *)
 
 module Json = Json
+module Clock = Clock
 module Counter = Counter
 module Gauge = Gauge
 module Histogram = Histogram

@@ -8,6 +8,7 @@
     wall-clock data. *)
 
 module Json = Json
+module Clock = Clock
 module Counter = Counter
 module Gauge = Gauge
 module Histogram = Histogram

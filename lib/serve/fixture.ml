@@ -15,8 +15,6 @@ type live =
   | L_meridian of Ron_smallworld.Meridian.t
   | L_landmark of Ron_labeling.Landmark.t
 
-let names = [ "basic"; "labelled"; "two_mode"; "meridian"; "landmark" ]
-
 (* Grid side for the graph-backed schemes: n is treated as a node budget. *)
 let side_of n = max 2 (int_of_float (Float.round (sqrt (float_of_int n))))
 
@@ -54,11 +52,15 @@ let build_live ~scheme ~n ~seed =
     L_landmark (Ron_labeling.Landmark.build sp (Rng.create (seed + 97)) ~k ~local_radius:2.0)
   | other -> failwith (Printf.sprintf "unknown serve scheme %S" other)
 
-let freeze = function
-  | L_basic s -> Server.freeze_basic_t (Ron_routing.Basic.export s)
-  | L_labelled s -> Server.freeze_labelled_t (Ron_routing.Labelled.export s)
-  | L_two_mode s -> Server.freeze_two_mode_t (Ron_routing.Two_mode.export s)
-  | L_meridian s -> Server.freeze_meridian_t (Ron_smallworld.Meridian.export s)
-  | L_landmark s -> Server.freeze_landmark_t (Ron_labeling.Landmark.export s)
+let freeze live =
+  let img =
+    match live with
+    | L_basic s -> Frozen_basic.freeze (Ron_routing.Basic.export s)
+    | L_labelled s -> Frozen_labelled.freeze (Ron_routing.Labelled.export s)
+    | L_two_mode s -> Frozen_two_mode.freeze (Ron_routing.Two_mode.export s)
+    | L_meridian s -> Frozen_meridian.freeze (Ron_smallworld.Meridian.export s)
+    | L_landmark s -> Frozen_landmark.freeze (Ron_labeling.Landmark.export s)
+  in
+  match Server.of_image img with Ok t -> t | Error msg -> failwith ("Fixture.freeze: " ^ msg)
 
 let build ~scheme ~n ~seed = freeze (build_live ~scheme ~n ~seed)

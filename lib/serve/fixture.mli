@@ -8,9 +8,6 @@ type live =
   | L_meridian of Ron_smallworld.Meridian.t
   | L_landmark of Ron_labeling.Landmark.t
 
-val names : string list
-(** The five servable scheme names, in scheme-tag order. *)
-
 val build_live : scheme:string -> n:int -> seed:int -> live
 (** Build the named scheme at roughly [n] nodes (graph-backed schemes
     round [n] to a grid). Raises [Failure] on an unknown name. *)

@@ -41,7 +41,8 @@ val prepare :
 (** {1 Results} *)
 
 (** Off-heap result columns, by effective kind:
-    route — [ra] outcome, [rb] hops, [rx] path length, [ry] header bits;
+    route — [ra] outcome ({!Server.query}'s codes), [rb] hops, [rx] path
+    length, [ry] header bits;
     dist — [rx] lower bound, [ry] upper bound;
     locate — [ra] found member, [rb] hops, [rx] measurements. *)
 type results = { ra : ints; rb : ints; rx : floats; ry : floats }
@@ -69,15 +70,16 @@ val run_observed :
   results ->
   unit
 (** {!run} plus observability: each query's latency is measured on the
-    wall clock ([wall:true], nanoseconds) or the deterministic logical
-    clock (default: cost [1] for a dist lookup, else
+    monotonic {!Ron_obs.Clock} ([wall:true], nanoseconds) or the
+    deterministic logical clock (default: cost [1] for a dist lookup, else
     [hops * 256 + min aux 255] — a pure function of the result, so flight
     dumps and SLO verdicts are bit-identical at every [RON_JOBS]).
     Workers record into [flight] (batch size is capped at
     [window * (retain - 1)] to honor its ring-safety contract); the
     orchestrator feeds [slo] between batches in qid order — a route
     counts as delivered on outcome 0, a locate when a member was found,
-    a dist always — and closes its trailing window at the end. Result
+    a dist when its upper bound is finite (not the (0, infinity) error
+    result) — and closes its trailing window at the end. Result
     columns are identical to an unobserved {!run}'s. *)
 
 val digest : results -> int
@@ -93,8 +95,8 @@ val measure_latency :
   results ->
   Ron_obs.Histogram.Bucketed.t ->
   unit
-(** Sequential pass observing per-query wall-clock latency (ns) for the
-    first [limit] queries. *)
+(** Sequential pass observing per-query latency on {!Ron_obs.Clock} (ns)
+    for the first [limit] queries. *)
 
 val minor_words_per_query : Server.t -> workload -> results -> float
 (** Steady-state minor-heap allocation per query, in words: one warm

@@ -1,6 +1,8 @@
 (** Frozen, off-heap query servers.
 
-    A constructed scheme is exported, packed into an {!Image.t} (Bigarray
+    A constructed scheme is exported, packed by its scheme module
+    ([Frozen_basic], [Frozen_labelled], [Frozen_two_mode],
+    [Frozen_meridian], [Frozen_landmark]) into an {!Image.t} (Bigarray
     sections, int-indexed, string-free), and served through flat views
     whose query loops replicate the live step functions and
     [Scheme.simulate]'s Brent cycle detection operation for operation —
@@ -47,21 +49,18 @@ type scratch = {
 
 type t
 
-val freeze_basic : Ron_routing.Basic.export -> Image.t
-val freeze_labelled : Ron_routing.Labelled.export -> Image.t
-val freeze_two_mode : Ron_routing.Two_mode.export -> Image.t
-val freeze_meridian : Ron_smallworld.Meridian.export -> Image.t
-val freeze_landmark : Ron_labeling.Landmark.export -> Image.t
+val schemes : (int * string) list
+(** The scheme table as [(tag, name)], in tag order: 1 basic,
+    2 labelled, 3 two_mode, 4 meridian, 5 landmark. *)
 
-val freeze_basic_t : Ron_routing.Basic.export -> t
-val freeze_labelled_t : Ron_routing.Labelled.export -> t
-val freeze_two_mode_t : Ron_routing.Two_mode.export -> t
-val freeze_meridian_t : Ron_smallworld.Meridian.export -> t
-val freeze_landmark_t : Ron_labeling.Landmark.export -> t
+val outcome_code : Ron_routing.Scheme.outcome -> int
+(** The route outcome codes a query writes to [r_outcome]:
+    0 delivered, 1 truncated, 2 self-forward, 3 cycled, 4 dropped (live
+    schemes under faults or churn only); {!query} adds 5. *)
 
 val of_image : Image.t -> (t, string) result
 (** Wrap an image's sections — zero-copy — into a server, validating the
-    scheme tag and per-scheme section counts. *)
+    scheme tag and the section counts of that tag's table row. *)
 
 val load : string -> (t, string) result
 (** [Image.load] followed by {!of_image}. *)
@@ -73,7 +72,7 @@ val byte_size : t -> int
 (** Exact on-disk size of the underlying snapshot. *)
 
 val scheme_tag : t -> int
-(** 1 basic, 2 labelled, 3 two_mode, 4 meridian, 5 landmark. *)
+(** The image's row in {!schemes}. *)
 
 val scheme_name : t -> string
 val size : t -> int
@@ -87,8 +86,6 @@ val scratch_for : t -> scratch
     domain (per server) before the query loop; {!query} itself never grows
     the scratch. *)
 
-val prepare_scratch : t -> scratch -> unit
-
 (** {1 Queries} *)
 
 val effective_kind : t -> int -> int
@@ -101,9 +98,17 @@ val query : t -> scratch -> kind:int -> src:int -> dst:int -> unit
     state. Results, by effective kind:
 
     - route (0): [r_outcome] (0 delivered, 1 truncated, 2 self-forward,
-      3 cycled), [r_hops], [r_aux] = header bits, [fbuf.(2)] = path
-      length;
+      3 cycled, 5 error), [r_hops], [r_aux] = header bits, [fbuf.(2)] =
+      path length;
     - dist (1): [fbuf.(3)] = lower bound, [fbuf.(4)] = upper bound (equal
       for the label-based point estimates);
     - locate (2): [r_next] = found member, [r_hops], [r_aux] =
-      measurements. *)
+      measurements.
+
+    Where an image's values are in range but do not fit together — the
+    walk meets a level past its label, a target missing from a table, a
+    neighbor run with no neighbor, a directory without the target, or
+    two labels with no common beacon — the query does not raise: a route
+    ends with outcome 5 after the hops taken so far, and a dist query
+    returns the bounds [(0, infinity)], which claim nothing, so the rest
+    of the batch is served. Values out of range are not checked. *)

@@ -17,13 +17,6 @@ let contains hay needle =
   let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
   go 0
 
-let outcome_code = function
-  | Scheme.Delivered -> 0
-  | Scheme.Truncated -> 1
-  | Scheme.Self_forward -> 2
-  | Scheme.Cycled -> 3
-  | Scheme.Dropped -> 4
-
 (* One small workload per scheme; labelled is per-query expensive, so its
    instance and workload stay tiny. *)
 let case scheme = if scheme = "labelled" then (scheme, 49, 60) else (scheme, 100, 300)
@@ -42,7 +35,7 @@ let check_against_live live t work res i =
   let tag = Printf.sprintf "%s q%d (%d->%d)" (Server.scheme_name t) i src dst in
   let module A1 = Bigarray.Array1 in
   let route_matches (r : Scheme.result) =
-    check_int (tag ^ " outcome") (outcome_code r.Scheme.outcome) (A1.get res.Loop.ra i);
+    check_int (tag ^ " outcome") (Server.outcome_code r.Scheme.outcome) (A1.get res.Loop.ra i);
     check_int (tag ^ " hops") r.Scheme.hops (A1.get res.Loop.rb i);
     check_bool (tag ^ " length") (Float.equal r.Scheme.length (A1.get res.Loop.rx i));
     check_int (tag ^ " header bits") r.Scheme.max_header_bits
@@ -137,6 +130,111 @@ let test_truncated_rejected () =
   | Error _ -> ());
   Sys.remove file
 
+(* Every registered scheme rejects an image missing one int or one float
+   section, naming itself; tags outside the table are unknown. *)
+let test_of_image_table () =
+  let drop a = Array.sub a 0 (Array.length a - 1) in
+  List.iter
+    (fun (tag, scheme) ->
+      let (scheme, n, _) = case scheme in
+      let img = Server.image (Fixture.build ~scheme ~n ~seed:5) in
+      check_int (scheme ^ " tag") tag img.Image.scheme;
+      let rejected what img =
+        match Server.of_image img with
+        | Ok _ -> Alcotest.failf "%s: image without one %s section accepted" scheme what
+        | Error e -> check_bool (scheme ^ " error names the scheme: " ^ e) (contains e scheme)
+      in
+      rejected "int" { img with Image.isecs = drop img.Image.isecs };
+      rejected "float" { img with Image.fsecs = drop img.Image.fsecs })
+    Server.schemes;
+  let img = Server.image (Fixture.build ~scheme:"meridian" ~n:60 ~seed:5) in
+  List.iter
+    (fun tag ->
+      match Server.of_image { img with Image.scheme = tag } with
+      | Ok _ -> Alcotest.failf "tag %d accepted" tag
+      | Error e -> check_bool ("tag error: " ^ e) (contains e "unknown scheme tag"))
+    [ 0; 6 ]
+
+(* ----------------------------------------- in-range, inconsistent images *)
+
+module A1 = Bigarray.Array1
+
+(* A server over a private copy of [t]'s sections, with [mutate] applied
+   to the copy. *)
+let mutated t mutate =
+  let img = Server.image t in
+  let copy make a =
+    let b = make (A1.dim a) in
+    A1.blit a b;
+    b
+  in
+  let img =
+    {
+      img with
+      Image.isecs = Array.map (copy Image.ints_create) img.Image.isecs;
+      fsecs = Array.map (copy Image.floats_create) img.Image.fsecs;
+    }
+  in
+  mutate img.Image.isecs img.Image.fsecs;
+  match Server.of_image img with Ok t -> t | Error e -> Alcotest.fail e
+
+(* The first query of [kind] with distinct endpoints. *)
+let first_query work kind =
+  let rec go i =
+    if i >= Loop.queries work then Alcotest.fail "no such query"
+    else if Loop.kind_of work i = kind && Loop.src_of work i <> Loop.dst_of work i then i
+    else go (i + 1)
+  in
+  go 0
+
+(* One in-range mutation per route scheme, and one for a dist query: the
+   batch completes at jobs 1 and 2 with equal digests, at least one slot
+   carries the error result (route outcome 5, dist bounds (0, infinity)),
+   and every route outcome is a known code. *)
+let test_error_outcomes () =
+  let mutation name scheme ~queries kind mutate =
+    let (scheme, n, _) = case scheme in
+    let t = Fixture.build ~scheme ~n ~seed:5 in
+    let work = workload_for t ~queries in
+    let i = first_query work kind in
+    let bad = mutated t (mutate ~src:(Loop.src_of work i) ~dst:(Loop.dst_of work i)) in
+    let res = Loop.results_create queries in
+    Loop.run ~jobs:1 bad work res;
+    let d1 = Loop.digest res in
+    let errors = ref 0 in
+    for q = 0 to queries - 1 do
+      let a = A1.get res.Loop.ra q in
+      match Loop.kind_of work q with
+      | 0 ->
+        check_bool (Printf.sprintf "%s q%d outcome %d in 0..5" name q a) (a >= 0 && a <= 5);
+        if a = 5 then incr errors
+      | 1 -> if A1.get res.Loop.rx q = 0.0 && A1.get res.Loop.ry q = infinity then incr errors
+      | _ -> ()
+    done;
+    check_bool (name ^ ": some slot carries the error result") (!errors > 0);
+    Loop.run ~jobs:2 bad work res;
+    check_int (name ^ " jobs=2 digest") d1 (Loop.digest res)
+  in
+  (* isecs.(2) is the neighbor CSR: src's run becomes empty. *)
+  mutation "labelled, empty neighbor run" "labelled" ~queries:60 0 (fun ~src ~dst:_ i _ ->
+      A1.set i.(2) (src + 1) (A1.get i.(2) src));
+  (* fsecs.(0) is the M1 threshold: below 0 it sends every packet on to
+     the M2 directories, where isecs.(2), hub_g, now names no hub. *)
+  mutation "two_mode, hub_g entries -1" "two_mode" ~queries:300 0 (fun ~src:_ ~dst:_ i f ->
+      A1.set f.(0) 0 (-1.0);
+      A1.fill i.(2) (-1));
+  (* isecs.(10)/(11) are the first-hop table's offsets and targets: src's
+     entries all name src itself, so no target is found. *)
+  mutation "basic, first hop not found" "basic" ~queries:300 0 (fun ~src ~dst:_ i _ ->
+      for e = A1.get i.(10) src to A1.get i.(10) (src + 1) - 1 do
+        A1.set i.(11) e src
+      done);
+  (* fsecs.(1) is the DLS host distances; isecs.(8) their CSR offsets. *)
+  mutation "labelled dist, infinite distances" "labelled" ~queries:60 1 (fun ~src:_ ~dst i f ->
+      for e = A1.get i.(8) dst to A1.get i.(8) (dst + 1) - 1 do
+        A1.set f.(1) e infinity
+      done)
+
 (* ------------------------------------------------------------ GC audit *)
 
 let test_zero_alloc scheme () =
@@ -184,7 +282,7 @@ let test_observed_invariant scheme () =
   check_int (scheme ^ " observed digest matches plain run") (Loop.digest res) d_obs
 
 let () =
-  let per_scheme mk = List.map (fun s -> mk s) Fixture.names in
+  let per_scheme mk = List.map (fun (_, s) -> mk s) Server.schemes in
   Alcotest.run "ron_serve"
     [
       ("frozen matches live",
@@ -195,6 +293,10 @@ let () =
        [
          Alcotest.test_case "checksum flip rejected" `Quick test_corrupt_rejected;
          Alcotest.test_case "truncation rejected" `Quick test_truncated_rejected;
+         Alcotest.test_case "section counts per scheme, unknown tags" `Quick
+           test_of_image_table;
+         Alcotest.test_case "in-range inconsistencies give error results" `Quick
+           test_error_outcomes;
        ]);
       ("zero allocation",
        per_scheme (fun s -> Alcotest.test_case s `Quick (test_zero_alloc s)));
