@@ -38,16 +38,18 @@ bench-diff: build
 
 # Scaling smoke: the near-linear pipeline (streamed torus -> on-demand
 # oracle -> landmark labels -> sampled stretch) at n = 10^5, under a hard
-# wall-clock budget, then diffed warn-only against the committed baseline
-# (timing keys use the threshold; the deterministic label/stretch keys must
-# match exactly; peak_rss_kb is recorded but not diffed).
+# wall-clock budget, then diffed against the committed baseline. The
+# threshold of 1000 (a 100000% slowdown) keeps timing keys from ever
+# failing on a shared runner, while the deterministic label/stretch keys
+# must match exactly: a mismatch exits 1. peak_rss_kb is recorded but not
+# diffed.
 SCALE_SMOKE_N ?= 100000
 SCALE_SMOKE_BUDGET_S ?= 300
 scale-smoke: build
 	timeout $(SCALE_SMOKE_BUDGET_S) dune exec bench/main.exe -- \
 	  --json /tmp/ron_scale_smoke.json --scale-only --scale $(SCALE_SMOKE_N)
 	dune exec bin/ron_cli.exe -- diff $(BENCH_BASELINE) /tmp/ron_scale_smoke.json \
-	  --warn-only --out /tmp/ron_scale_smoke_verdict.json
+	  --threshold 1000 --out /tmp/ron_scale_smoke_verdict.json
 
 # Observability smoke: trace a routing run, then validate every JSONL event.
 trace-smoke: build

@@ -133,14 +133,14 @@ let graph_apsp_section n =
      interleaving gives every variant a sample in each burst-free window,
      keeping the per-variant minima comparable. *)
   let rounds = 5 in
-  let (ref_ap, t0_ref) = time (fun () -> Dijkstra.all_pairs_reference g) in
+  let (ref_ap, t0_ref) = time (fun () -> Dijkstra_reference.all_pairs g) in
   let (a1, t0_j1) = time (fun () -> Dijkstra.all_pairs ~jobs:1 g) in
   let (a4, t0_j4) = time (fun () -> Dijkstra.all_pairs ~jobs:4 g) in
   let (ap, t0_par) = time (fun () -> Dijkstra.all_pairs g) in
   let t_ref = ref t0_ref and t_j1 = ref t0_j1 in
   let t_j4 = ref t0_j4 and t_par = ref t0_par in
   for _ = 2 to rounds do
-    t_ref := Float.min !t_ref (time_unit (fun () -> ignore (Dijkstra.all_pairs_reference g)));
+    t_ref := Float.min !t_ref (time_unit (fun () -> ignore (Dijkstra_reference.all_pairs g)));
     t_j1 := Float.min !t_j1 (time_unit (fun () -> ignore (Dijkstra.all_pairs ~jobs:1 g)));
     t_j4 := Float.min !t_j4 (time_unit (fun () -> ignore (Dijkstra.all_pairs ~jobs:4 g)));
     t_par := Float.min !t_par (time_unit (fun () -> ignore (Dijkstra.all_pairs g)))

@@ -7,7 +7,8 @@ type sssp = { source : int; dist : float array; first_hop : int array }
 type apsp = { ap_n : int; ap_dist : floatarray; ap_fh : int array }
 
 (* ------------------------------------------------------------------------ *)
-(* Flat, allocation-lean core.
+(* The one search core, behind full rows, all-pairs, the oracle and
+   radius-bounded balls.
 
    The heap holds no records: entry [i] is a float priority in [heap_d.(i)]
    and an int key in [heap_x.(i)] packing [(first_hop + 1) << k | node],
@@ -23,15 +24,22 @@ type apsp = { ap_n : int; ap_dist : floatarray; ap_fh : int array }
    sequence — and therefore every output bit — is independent of the heap's
    internal layout and identical to the reference implementation's.
 
-   All per-source state lives in one scratch struct, allocated once per
-   domain (via DLS) and reused across sources: running [all_pairs] performs
-   no per-source allocation beyond the shared output arrays. *)
+   All per-run state lives in one scratch record per domain (via DLS),
+   reused across runs and reset by generation stamp rather than by fill:
+   [mark.(v) = gen] means [v] holds a tentative label from this run,
+   [gen + 1] that it is settled, anything older that this run has not
+   touched it. A run costs what it explores — O(ball), not O(n), for a
+   bounded one — and logs the settled ids in pop order, which is all a
+   reader needs. *)
 
 type scratch = {
   mutable cap : int; (* node capacity the buffers are sized for *)
   mutable dist : float array;
   mutable fh : int array;
-  mutable settled : Bytes.t;
+  mutable mark : int array;
+  mutable gen : int;
+  mutable order : int array; (* settled ids, pop order *)
+  mutable settled : int;
   mutable heap_d : float array;
   mutable heap_x : int array;
   mutable heap_len : int;
@@ -43,9 +51,14 @@ let scratch_key : scratch Domain.DLS.key =
         cap = 0;
         dist = [||];
         fh = [||];
-        settled = Bytes.empty;
-        heap_d = [||];
-        heap_x = [||];
+        mark = [||];
+        gen = 0;
+        order = [||];
+        settled = 0;
+        (* The heap grows on demand and is never shrunk: a domain that only
+           explores small balls keeps a small one. *)
+        heap_d = Array.make 256 0.0;
+        heap_x = Array.make 256 0;
         heap_len = 0;
       })
 
@@ -55,12 +68,9 @@ let scratch_for n =
     sc.cap <- n;
     sc.dist <- Array.make n infinity;
     sc.fh <- Array.make n (-1);
-    sc.settled <- Bytes.make n '\000';
-    (* Heap capacity grows on demand; seed it with room for a few pushes per
-       node, the common case on bounded-degree graphs. *)
-    sc.heap_d <- Array.make (4 * n) 0.0;
-    sc.heap_x <- Array.make (4 * n) 0;
-    sc.heap_len <- 0
+    sc.mark <- Array.make n 0;
+    sc.gen <- 0;
+    sc.order <- Array.make n 0
   end;
   sc
 
@@ -128,28 +138,30 @@ let heap_drop_min sc =
     Array.unsafe_set hx !i x
   end
 
-(* CSR view of the adjacency: arc [k] of node [u] lives at flat position
-   [off.(u) + k], destinations in one int array and weights in one float
-   array. One flattening per traversal batch replaces a boxed-record load
-   per scanned edge with two unsafe array reads, and the three arrays are
-   immutable — shared read-only across the pool's domains. *)
-type csr = { off : int array; dst : int array; w : floatarray }
+(* Settle every node within [radius] of [source] into the domain's scratch
+   and return it; [radius = infinity] is a full row.
 
-(* The graph itself is CSR now, so this is a zero-copy view: no per-traversal
-   flattening cost, and the three arrays are immutable — shared read-only
+   The bound is enforced at push time: a tentative distance [nd > radius]
+   is never enqueued. With positive weights every prefix of a shortest path
+   is strictly shorter, so any node whose true distance is [<= radius] is
+   reached entirely through in-radius pushes — the settled set is exactly
+   [{ v | dist(v) <= radius }] and every settled distance / first-hop bit
+   matches the unbounded run. The heap drains exactly when the ball is
+   exhausted: the early exit is structural rather than a popped-distance
+   test. The adjacency is the graph's own CSR arrays, shared read-only
    across the pool's domains. *)
-let csr_of g =
-  let off, dst, w = Graph.csr g in
-  { off; dst; w }
-
-(* One source, into the scratch buffers. *)
-let run_core csr n sc source =
-  let dist = sc.dist and fh = sc.fh and settled = sc.settled in
-  Array.fill dist 0 n infinity;
-  Array.fill fh 0 n (-1);
-  Bytes.fill settled 0 n '\000';
+let search g source ~radius =
+  let n = Graph.size g in
+  if source < 0 || source >= n then invalid_arg "Dijkstra: source out of range";
+  if not (radius >= 0.0) then invalid_arg "Dijkstra: radius must be non-negative";
+  let off, adj, wts = Graph.csr g in
+  let sc = scratch_for n in
+  let gen = sc.gen + 2 in
+  sc.gen <- gen;
+  let fin = gen + 1 in
+  let dist = sc.dist and fh = sc.fh and mark = sc.mark and order = sc.order in
   sc.heap_len <- 0;
-  dist.(source) <- 0.0;
+  sc.settled <- 0;
   (* Packing width: first power of two holding a node id, so unpacking is a
      mask/shift instead of a division. *)
   let shift =
@@ -158,63 +170,64 @@ let run_core csr n sc source =
     !k
   in
   let mask = (1 lsl shift) - 1 in
+  dist.(source) <- 0.0;
+  fh.(source) <- -1;
+  mark.(source) <- gen;
   (* fh = -1 packs to 0 lsl shift lor node. *)
   heap_push sc 0.0 source;
-  let off = csr.off and adj = csr.dst and wts = csr.w in
   while sc.heap_len > 0 do
     let d = Array.unsafe_get sc.heap_d 0 and x = Array.unsafe_get sc.heap_x 0 in
     heap_drop_min sc;
     let node = x land mask in
-    if Bytes.unsafe_get settled node = '\000' then begin
-      Bytes.unsafe_set settled node '\001';
+    if Array.unsafe_get mark node <> fin then begin
+      (* A node's first pop is its last, best push: [dist]/[fh] already
+         hold [(d, efh)]. *)
+      Array.unsafe_set mark node fin;
+      Array.unsafe_set order sc.settled node;
+      sc.settled <- sc.settled + 1;
       let efh = (x lsr shift) - 1 in
-      Array.unsafe_set dist node d;
-      Array.unsafe_set fh node efh;
       let lo = Array.unsafe_get off node in
       let hi = Array.unsafe_get off (node + 1) in
       for e = lo to hi - 1 do
         let v = Array.unsafe_get adj e in
-        if Bytes.unsafe_get settled v = '\000' then begin
+        let mv = Array.unsafe_get mark v in
+        if mv <> fin then begin
           let nd = d +. Float.Array.unsafe_get wts e in
           let nfh = if node = source then e - lo else efh in
-          let dv = Array.unsafe_get dist v in
-          if nd < dv || (nd = dv && nfh < Array.unsafe_get fh v) then begin
+          (* An untouched node reads as (infinity, -1): any finite [nd] improves it. *)
+          if
+            nd <= radius
+            &&
+            if mv = gen then
+              nd < Array.unsafe_get dist v
+              || (nd = Array.unsafe_get dist v && nfh < Array.unsafe_get fh v)
+            else nd < infinity
+          then begin
             Array.unsafe_set dist v nd;
             Array.unsafe_set fh v nfh;
+            Array.unsafe_set mark v gen;
             heap_push sc nd (((nfh + 1) lsl shift) lor v)
           end
         end
       done
     end
   done;
-  fh.(source) <- -1
+  if !Probe.on then Probe.sssp_source ();
+  sc
+
+(* The full row of the last [search]: unsettled nodes are unreached. *)
+let full_row sc n =
+  let dist = Array.make n infinity and fh = Array.make n (-1) in
+  for i = 0 to sc.settled - 1 do
+    let v = Array.unsafe_get sc.order i in
+    Array.unsafe_set dist v (Array.unsafe_get sc.dist v);
+    Array.unsafe_set fh v (Array.unsafe_get sc.fh v)
+  done;
+  (dist, fh)
 
 let run g source =
-  let n = Graph.size g in
-  let sc = scratch_for n in
-  run_core (csr_of g) n sc source;
-  if !Probe.on then Probe.sssp_source ();
-  { source; dist = Array.sub sc.dist 0 n; first_hop = Array.sub sc.fh 0 n }
-
-(* ------------------------------------------------------------------------ *)
-(* Radius-limited single-source runs.
-
-   [run_core] pays an O(n) scratch reset per source — fine when every source
-   is visited once, fatal when n bounded explorations each touch a ball of a
-   few dozen nodes. The bounded scratch instead stamps every touched cell
-   with a per-run generation counter: a cell is valid only if its stamp
-   matches the current run, so reset is [gen <- gen + 1] and the cost of a
-   run is proportional to the ball actually explored, not to n.
-
-   The radius bound is enforced at push time: a tentative distance
-   [nd > radius] is never enqueued. With positive weights every prefix of a
-   shortest path is strictly shorter, so any node whose true distance is
-   [<= radius] is reached entirely through in-radius pushes — the settled
-   set is exactly [{ v | dist(v) <= radius }] and every settled distance /
-   first-hop bit matches the unbounded run (pushes beyond the radius are
-   dominated entries that never decide a final label). The heap therefore
-   drains exactly when the ball is exhausted: the early exit is structural
-   rather than a popped-distance test. *)
+  let dist, first_hop = full_row (search g source ~radius:infinity) (Graph.size g) in
+  { source; dist; first_hop }
 
 type bounded = {
   center : int;
@@ -224,213 +237,35 @@ type bounded = {
   hops : int array;
 }
 
-type bscratch = {
-  mutable bcap : int;
-  mutable bdist : float array;
-  mutable bfh : int array;
-  mutable stamp : int array; (* tentative label valid iff stamp.(v) = gen *)
-  mutable done_stamp : int array; (* settled iff done_stamp.(v) = gen *)
-  mutable gen : int;
-  mutable bheap_d : float array;
-  mutable bheap_x : int array;
-  mutable bheap_len : int;
-  mutable out_nodes : int array; (* settled output, grows on demand *)
-  mutable out_dist : float array;
-  mutable out_fh : int array;
-  mutable out_len : int;
-}
-
-let bscratch_key : bscratch Domain.DLS.key =
-  Domain.DLS.new_key (fun () ->
-      {
-        bcap = 0;
-        bdist = [||];
-        bfh = [||];
-        stamp = [||];
-        done_stamp = [||];
-        gen = 0;
-        bheap_d = [||];
-        bheap_x = [||];
-        bheap_len = 0;
-        out_nodes = [||];
-        out_dist = [||];
-        out_fh = [||];
-        out_len = 0;
-      })
-
-let bscratch_for n =
-  let sc = Domain.DLS.get bscratch_key in
-  if sc.bcap < n then begin
-    sc.bcap <- n;
-    sc.bdist <- Array.make n infinity;
-    sc.bfh <- Array.make n (-1);
-    sc.stamp <- Array.make n 0;
-    sc.done_stamp <- Array.make n 0;
-    sc.gen <- 0;
-    if Array.length sc.bheap_d = 0 then begin
-      sc.bheap_d <- Array.make 256 0.0;
-      sc.bheap_x <- Array.make 256 0
-    end;
-    if Array.length sc.out_nodes = 0 then begin
-      sc.out_nodes <- Array.make 256 0;
-      sc.out_dist <- Array.make 256 0.0;
-      sc.out_fh <- Array.make 256 0
-    end
-  end;
-  sc
-
-let bheap_push sc d x =
-  let len = sc.bheap_len in
-  if len = Array.length sc.bheap_d then begin
-    let bigger_d = Array.make (2 * len) 0.0 and bigger_x = Array.make (2 * len) 0 in
-    Array.blit sc.bheap_d 0 bigger_d 0 len;
-    Array.blit sc.bheap_x 0 bigger_x 0 len;
-    sc.bheap_d <- bigger_d;
-    sc.bheap_x <- bigger_x
-  end;
-  let hd = sc.bheap_d and hx = sc.bheap_x in
-  let i = ref len in
-  let continue = ref true in
-  while !continue && !i > 0 do
-    let p = (!i - 1) / 2 in
-    let pd = Array.unsafe_get hd p in
-    if d < pd || (d = pd && x < Array.unsafe_get hx p) then begin
-      Array.unsafe_set hd !i pd;
-      Array.unsafe_set hx !i (Array.unsafe_get hx p);
-      i := p
-    end
-    else continue := false
-  done;
-  Array.unsafe_set hd !i d;
-  Array.unsafe_set hx !i x;
-  sc.bheap_len <- len + 1
-
-let bheap_drop_min sc =
-  let len = sc.bheap_len - 1 in
-  sc.bheap_len <- len;
-  if len > 0 then begin
-    let hd = sc.bheap_d and hx = sc.bheap_x in
-    let d = Array.unsafe_get hd len and x = Array.unsafe_get hx len in
-    let i = ref 0 in
-    let continue = ref true in
-    while !continue do
-      let l = (2 * !i) + 1 in
-      if l >= len then continue := false
-      else begin
-        let r = l + 1 in
-        let c =
-          if r < len then begin
-            let ld = Array.unsafe_get hd l and rd = Array.unsafe_get hd r in
-            if rd < ld || (rd = ld && Array.unsafe_get hx r < Array.unsafe_get hx l) then r
-            else l
-          end
-          else l
-        in
-        let cd = Array.unsafe_get hd c in
-        if cd < d || (cd = d && Array.unsafe_get hx c < x) then begin
-          Array.unsafe_set hd !i cd;
-          Array.unsafe_set hx !i (Array.unsafe_get hx c);
-          i := c
-        end
-        else continue := false
-      end
-    done;
-    Array.unsafe_set hd !i d;
-    Array.unsafe_set hx !i x
-  end
-
-let record_settled sc node d fh =
-  let len = sc.out_len in
-  if len = Array.length sc.out_nodes then begin
-    let nodes = Array.make (2 * len) 0
-    and dist = Array.make (2 * len) 0.0
-    and fhs = Array.make (2 * len) 0 in
-    Array.blit sc.out_nodes 0 nodes 0 len;
-    Array.blit sc.out_dist 0 dist 0 len;
-    Array.blit sc.out_fh 0 fhs 0 len;
-    sc.out_nodes <- nodes;
-    sc.out_dist <- dist;
-    sc.out_fh <- fhs
-  end;
-  sc.out_nodes.(len) <- node;
-  sc.out_dist.(len) <- d;
-  sc.out_fh.(len) <- fh;
-  sc.out_len <- len + 1
-
 let run_bounded g source ~radius =
-  if not (radius >= 0.0) then invalid_arg "Dijkstra.run_bounded: radius must be non-negative";
-  let n = Graph.size g in
-  if source < 0 || source >= n then invalid_arg "Dijkstra.run_bounded: source out of range";
-  let csr = csr_of g in
-  let sc = bscratch_for n in
-  sc.gen <- sc.gen + 1;
-  let gen = sc.gen in
-  let bdist = sc.bdist and bfh = sc.bfh and stamp = sc.stamp and done_stamp = sc.done_stamp in
-  sc.bheap_len <- 0;
-  sc.out_len <- 0;
-  let shift =
-    let k = ref 1 in
-    while 1 lsl !k < n do incr k done;
-    !k
-  in
-  let mask = (1 lsl shift) - 1 in
-  bdist.(source) <- 0.0;
-  bfh.(source) <- -1;
-  stamp.(source) <- gen;
-  bheap_push sc 0.0 source;
-  let off = csr.off and adj = csr.dst and wts = csr.w in
-  while sc.bheap_len > 0 do
-    let d = Array.unsafe_get sc.bheap_d 0 and x = Array.unsafe_get sc.bheap_x 0 in
-    bheap_drop_min sc;
-    let node = x land mask in
-    if Array.unsafe_get done_stamp node <> gen then begin
-      Array.unsafe_set done_stamp node gen;
-      let efh = (x lsr shift) - 1 in
-      let efh = if node = source then -1 else efh in
-      record_settled sc node d efh;
-      let lo = Array.unsafe_get off node in
-      let hi = Array.unsafe_get off (node + 1) in
-      for e = lo to hi - 1 do
-        let v = Array.unsafe_get adj e in
-        if Array.unsafe_get done_stamp v <> gen then begin
-          let nd = d +. Float.Array.unsafe_get wts e in
-          if nd <= radius then begin
-            let nfh = if node = source then e - lo else efh in
-            let fresh = Array.unsafe_get stamp v <> gen in
-            let dv = if fresh then infinity else Array.unsafe_get bdist v in
-            if
-              nd < dv
-              || (nd = dv && (fresh || nfh < Array.unsafe_get bfh v))
-            then begin
-              Array.unsafe_set bdist v nd;
-              Array.unsafe_set bfh v nfh;
-              Array.unsafe_set stamp v gen;
-              bheap_push sc nd (((nfh + 1) lsl shift) lor v)
-            end
-          end
-        end
-      done
-    end
+  let sc = search g source ~radius in
+  let k = sc.settled in
+  let nodes = Array.sub sc.order 0 k in
+  let dists = Array.make k 0.0 and hops = Array.make k 0 in
+  for i = 0 to k - 1 do
+    let v = Array.unsafe_get nodes i in
+    Array.unsafe_set dists i (Array.unsafe_get sc.dist v);
+    Array.unsafe_set hops i (Array.unsafe_get sc.fh v)
   done;
-  if !Probe.on then Probe.sssp_source ();
-  {
-    center = source;
-    radius;
-    nodes = Array.sub sc.out_nodes 0 sc.out_len;
-    dists = Array.sub sc.out_dist 0 sc.out_len;
-    hops = Array.sub sc.out_fh 0 sc.out_len;
-  }
+  { center = source; radius; nodes; dists; hops }
+
+(* [next_toward] over any first-hop lookup: the eager matrix or the oracle. *)
+let hop_toward g first_hop u v =
+  if v = u then invalid_arg "Dijkstra.next_toward: target is the source";
+  let k = first_hop u v in
+  if k < 0 then invalid_arg "Dijkstra.next_toward: unreachable target";
+  Graph.hop g u k
 
 (* ------------------------------------------------------------------------ *)
 (* On-demand distance oracle: cached single-source rows.
 
    [row t s] returns the full SSSP row from [s], computing it with the same
-   flat [run_core] as {!all_pairs} (so every bit matches the eager matrix)
-   and caching it in a per-domain LRU keyed by source. Per-domain caches
-   need no locks, and because rows are pure functions of the graph, the
-   results are independent of which domain computes them — [RON_JOBS]
-   changes timing, never bits. Memory is bounded by
-   [capacity * 16 bytes * n] per domain that actually queries. *)
+   [search] as {!all_pairs} (so every bit matches the eager matrix) and
+   caching it in a per-domain LRU keyed by source. Per-domain caches need
+   no locks, and because rows are pure functions of the graph, the results
+   are independent of which domain computes them — [RON_JOBS] changes
+   timing, never bits. Memory is bounded by [capacity * 16 bytes * n] per
+   domain that actually queries. *)
 
 module Oracle = struct
   type row = { row_dist : float array; row_fh : int array }
@@ -442,7 +277,6 @@ module Oracle = struct
   type t = {
     ograph : Graph.t;
     on : int;
-    ocsr : csr;
     ocapacity : int;
     cache_key : cache Domain.DLS.key;
   }
@@ -467,7 +301,6 @@ module Oracle = struct
     {
       ograph = g;
       on = n;
-      ocsr = csr_of g;
       ocapacity;
       cache_key = Domain.DLS.new_key (fun () -> { tbl = Hashtbl.create 61; tick = 0 });
     }
@@ -476,7 +309,6 @@ module Oracle = struct
   let capacity t = t.ocapacity
 
   let row t s =
-    if s < 0 || s >= t.on then invalid_arg "Dijkstra.Oracle: source out of range";
     let c = Domain.DLS.get t.cache_key in
     c.tick <- c.tick + 1;
     match Hashtbl.find_opt c.tbl s with
@@ -485,10 +317,8 @@ module Oracle = struct
       if !Probe.on then Probe.oracle_hit ();
       slot.srow
     | None ->
-      let n = t.on in
-      let sc = scratch_for n in
-      run_core t.ocsr n sc s;
-      let r = { row_dist = Array.sub sc.dist 0 n; row_fh = Array.sub sc.fh 0 n } in
+      let row_dist, row_fh = full_row (search t.ograph s ~radius:infinity) t.on in
+      let r = { row_dist; row_fh } in
       if Hashtbl.length c.tbl >= t.ocapacity then begin
         (* Evict the least-recently-used row (linear scan: capacity is
            small by construction). *)
@@ -508,7 +338,6 @@ module Oracle = struct
       Hashtbl.add c.tbl s { srow = r; last = c.tick };
       if !Probe.on then begin
         Probe.oracle_build ();
-        Probe.sssp_source ();
         Probe.oracle_occupancy (Hashtbl.length c.tbl)
       end;
       (* Row builds are the oracle's unit of heavy work — a natural
@@ -521,142 +350,25 @@ module Oracle = struct
   let first_hops t s = (row t s).row_fh
   let distance t u v = (distances t u).(v)
   let first_hop t u v = (first_hops t u).(v)
+  let next_toward t u v = hop_toward t.ograph (first_hop t) u v
 end
 
 let all_pairs ?jobs g =
   Profile.phase "dijkstra.all_pairs" @@ fun () ->
   let n = Graph.size g in
-  let csr = csr_of g in
-  let ap_dist = Float.Array.create (n * n) in
+  let ap_dist = Float.Array.make (n * n) infinity in
   let ap_fh = Array.make (n * n) (-1) in
   Pool.parallel_for ?jobs n (fun s ->
-      let sc = scratch_for n in
-      run_core csr n sc s;
-      let off = s * n in
-      for v = 0 to n - 1 do
-        Float.Array.unsafe_set ap_dist (off + v) (Array.unsafe_get sc.dist v);
-        Array.unsafe_set ap_fh (off + v) (Array.unsafe_get sc.fh v)
-      done;
-      if !Probe.on then Probe.sssp_source ());
+      let sc = search g s ~radius:infinity in
+      let base = s * n in
+      for i = 0 to sc.settled - 1 do
+        let v = Array.unsafe_get sc.order i in
+        Float.Array.unsafe_set ap_dist (base + v) (Array.unsafe_get sc.dist v);
+        Array.unsafe_set ap_fh (base + v) (Array.unsafe_get sc.fh v)
+      done);
   { ap_n = n; ap_dist; ap_fh }
 
 let size a = a.ap_n
 let distance a u v = Float.Array.get a.ap_dist ((u * a.ap_n) + v)
 let first_hop a u v = a.ap_fh.((u * a.ap_n) + v)
-
-let sssp_of a s =
-  let n = a.ap_n in
-  {
-    source = s;
-    dist = Array.init n (fun v -> Float.Array.get a.ap_dist ((s * n) + v));
-    first_hop = Array.sub a.ap_fh (s * n) n;
-  }
-
-let next_node g s v =
-  if v = s.source then invalid_arg "Dijkstra.next_node: target is the source";
-  let k = s.first_hop.(v) in
-  if k < 0 then invalid_arg "Dijkstra.next_node: unreachable target";
-  Graph.hop g s.source k
-
-let next_toward g a u v =
-  if v = u then invalid_arg "Dijkstra.next_toward: target is the source";
-  let k = first_hop a u v in
-  if k < 0 then invalid_arg "Dijkstra.next_toward: unreachable target";
-  Graph.hop g u k
-
-(* ------------------------------------------------------------------------ *)
-(* The pre-optimization implementation (one boxed record per heap entry,
-   polymorphic tuple compare in [less], one record-of-arrays per source),
-   kept verbatim as the measured baseline for bench/main.exe --json and the
-   equivalence tests — the Dijkstra analogue of [Indexed.create_reference]. *)
-
-module Reference_heap = struct
-  type entry = { d : float; fh : int; node : int }
-
-  type t = { mutable a : entry array; mutable len : int }
-
-  let create () = { a = Array.make 64 { d = 0.0; fh = 0; node = 0 }; len = 0 }
-
-  let less x y = x.d < y.d || (x.d = y.d && (x.fh, x.node) < (y.fh, y.node))
-
-  let swap h i j =
-    let tmp = h.a.(i) in
-    h.a.(i) <- h.a.(j);
-    h.a.(j) <- tmp
-
-  let push h e =
-    if h.len = Array.length h.a then begin
-      let bigger = Array.make (2 * h.len) e in
-      Array.blit h.a 0 bigger 0 h.len;
-      h.a <- bigger
-    end;
-    h.a.(h.len) <- e;
-    h.len <- h.len + 1;
-    let i = ref (h.len - 1) in
-    while !i > 0 && less h.a.(!i) h.a.((!i - 1) / 2) do
-      swap h !i ((!i - 1) / 2);
-      i := (!i - 1) / 2
-    done
-
-  let pop h =
-    if h.len = 0 then None
-    else begin
-      let top = h.a.(0) in
-      h.len <- h.len - 1;
-      if h.len > 0 then begin
-        h.a.(0) <- h.a.(h.len);
-        let i = ref 0 in
-        let continue = ref true in
-        while !continue do
-          let l = (2 * !i) + 1 and r = (2 * !i) + 2 in
-          let smallest = ref !i in
-          if l < h.len && less h.a.(l) h.a.(!smallest) then smallest := l;
-          if r < h.len && less h.a.(r) h.a.(!smallest) then smallest := r;
-          if !smallest <> !i then begin
-            swap h !i !smallest;
-            i := !smallest
-          end
-          else continue := false
-        done
-      end;
-      Some top
-    end
-end
-
-let run_reference g source =
-  let n = Graph.size g in
-  let dist = Array.make n infinity in
-  let first_hop = Array.make n (-1) in
-  let settled = Array.make n false in
-  let heap = Reference_heap.create () in
-  dist.(source) <- 0.0;
-  Reference_heap.push heap { d = 0.0; fh = -1; node = source };
-  let rec loop () =
-    match Reference_heap.pop heap with
-    | None -> ()
-    | Some e ->
-      if not settled.(e.node) then begin
-        settled.(e.node) <- true;
-        dist.(e.node) <- e.d;
-        first_hop.(e.node) <- e.fh;
-        Array.iteri
-          (fun k edge ->
-            let v = edge.Graph.dst in
-            if not settled.(v) then begin
-              let nd = e.d +. edge.Graph.weight in
-              let nfh = if e.node = source then k else e.fh in
-              if nd < dist.(v) || (nd = dist.(v) && nfh < first_hop.(v)) then begin
-                dist.(v) <- nd;
-                first_hop.(v) <- nfh;
-                Reference_heap.push heap { d = nd; fh = nfh; node = v }
-              end
-            end)
-          (Graph.out_edges g e.node)
-      end;
-      loop ()
-  in
-  loop ();
-  first_hop.(source) <- -1;
-  { source; dist; first_hop }
-
-let all_pairs_reference g = Array.init (Graph.size g) (fun s -> run_reference g s)
+let next_toward g a u v = hop_toward g (first_hop a) u v

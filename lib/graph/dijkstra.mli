@@ -10,15 +10,16 @@
     are broken deterministically: among equal-length paths the one whose
     first edge has the smallest index wins (propagated along the search).
 
-    The substrate is allocation-lean: the priority queue is a flat binary
-    heap over a [float array] of priorities and an [int array] of packed
-    [(first_hop, node)] keys, the adjacency is flattened once per traversal
-    batch into a CSR view (offset/destination [int array]s plus a weight
-    [floatarray], shared read-only across domains), and each domain reuses
-    one preallocated scratch buffer across sources. All-pairs results live
-    in two shared flat [n * n] arrays (an unboxed [floatarray] of distances,
-    an [int array] of first hops) rather than [n] boxed per-source
-    records. *)
+    The substrate is allocation-lean: one search core serves full rows,
+    {!all_pairs}, the {!Oracle} and radius-bounded balls. Its priority queue
+    is a flat binary heap over a [float array] of priorities and an
+    [int array] of packed [(first_hop, node)] keys, it reads the graph's own
+    CSR arrays (shared read-only across domains), and each domain reuses one
+    generation-stamped scratch across runs, so a run costs what it explores
+    with no O(n) reset. All-pairs results live in two shared flat [n * n]
+    arrays (an unboxed [floatarray] of distances, an [int array] of first
+    hops) rather than [n] boxed per-source records. Every entry point
+    raises [Invalid_argument] on a source outside [0, n). *)
 
 type sssp = {
   source : int;
@@ -76,6 +77,9 @@ module Oracle : sig
 
   val distance : t -> int -> int -> float
   val first_hop : t -> int -> int -> int
+
+  val next_toward : t -> int -> int -> int
+  (** As {!Dijkstra.next_toward}, over the oracle's rows. *)
 end
 
 type apsp
@@ -85,30 +89,14 @@ type apsp
 val all_pairs : ?jobs:int -> Graph.t -> apsp
 (** One Dijkstra per source, parallelized over sources ({!Ron_util.Pool}:
     [?jobs], else [RON_JOBS], else the hardware recommendation). Sources
-    write disjoint rows, so the result is bit-identical at every job count,
-    and identical to {!all_pairs_reference}. O(n (m + n log n)) work. *)
+    write disjoint rows, so the result is bit-identical at every job count.
+    O(n (m + n log n)) work. *)
 
 val size : apsp -> int
 val distance : apsp -> int -> int -> float
 val first_hop : apsp -> int -> int -> int
 (** [-1] for [v = u] or unreachable [v]. *)
 
-val sssp_of : apsp -> int -> sssp
-(** Materialize one source's row as a boxed {!sssp} (copies). *)
-
-val next_node : Graph.t -> sssp -> int -> int
-(** [next_node g s v]: the node reached by following [s]'s first hop toward
-    [v]. Raises [Invalid_argument] if [v] is the source or unreachable. *)
-
 val next_toward : Graph.t -> apsp -> int -> int -> int
 (** [next_toward g a u v]: the node after [u] on the canonical shortest
     [u -> v] path. Raises [Invalid_argument] if [v = u] or unreachable. *)
-
-val run_reference : Graph.t -> int -> sssp
-(** The pre-optimization implementation (record-per-entry heap, polymorphic
-    tuple compare, boxed per-source results), kept as the measured baseline
-    for [bench/main.exe --json] and the equivalence tests — the Dijkstra
-    analogue of {!Ron_metric.Indexed.create_reference}. Produces outputs
-    bit-identical to {!run}/{!all_pairs}. *)
-
-val all_pairs_reference : Graph.t -> sssp array

@@ -58,11 +58,7 @@ let first_hop_index t u v =
 let next_toward t u v =
   match t.backend with
   | Apsp a -> Dijkstra.next_toward t.graph a u v
-  | Oracle o ->
-    if v = u then invalid_arg "Dijkstra.next_toward: target is the source";
-    let k = Dijkstra.Oracle.first_hop o u v in
-    if k < 0 then invalid_arg "Dijkstra.next_toward: unreachable target";
-    Graph.hop t.graph u k
+  | Oracle o -> Dijkstra.Oracle.next_toward o u v
 
 let path t u v =
   let rec go acc cur =

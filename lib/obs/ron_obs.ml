@@ -52,37 +52,6 @@ let counters_json () =
   Json.Obj
     (List.map (fun c -> (Counter.name c, Json.Int (Counter.value c))) (Counter.all ()))
 
-(* Env gauges (worker counts, per-domain cache occupancy) depend on
-   RON_JOBS by nature; the deterministic snapshot carries only the rest. *)
-let gauges_json () =
-  Json.Obj
-    (List.filter_map
-       (fun g ->
-         if Gauge.written g && not (Gauge.env g) then
-           Some (Gauge.name g, Json.Float (Gauge.value g))
-         else None)
-       (Gauge.all ()))
-
-let bucketed_json () =
-  Json.Obj
-    (List.filter_map
-       (fun h ->
-         let s = Histogram.Bucketed.summary h in
-         if s.Histogram.Bucketed.count = 0 then None
-         else
-           Some
-             ( Histogram.Bucketed.name h,
-               Json.Obj
-                 [
-                   ("count", Json.Int s.Histogram.Bucketed.count);
-                   ("min", Json.Float s.Histogram.Bucketed.min);
-                   ("max", Json.Float s.Histogram.Bucketed.max);
-                   ("p50", Json.Float s.Histogram.Bucketed.p50);
-                   ("p95", Json.Float s.Histogram.Bucketed.p95);
-                   ("p99", Json.Float s.Histogram.Bucketed.p99);
-                 ] ))
-       (Histogram.Bucketed.all ()))
-
 let histograms_json () =
   Json.Obj
     (List.filter_map
@@ -137,9 +106,11 @@ let snapshot () =
     [
       ("schema", Json.String "ron-obs/1");
       ("counters", counters_json ());
-      ("gauges", gauges_json ());
+      (* Env gauges (worker counts, per-domain cache occupancy) depend on
+         RON_JOBS by nature; the deterministic snapshot carries only the rest. *)
+      ("gauges", Telemetry.gauges_json ~env:false);
       ("histograms", histograms_json ());
-      ("bucketed_histograms", bucketed_json ());
+      ("bucketed_histograms", Telemetry.bucketed_json ());
       ("queries", queries_json ());
     ]
 

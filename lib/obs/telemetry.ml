@@ -66,16 +66,16 @@ let counters_delta_json () =
   in
   Json.Obj fields
 
-let gauges_json () =
+let gauges_json ~env =
   Json.Obj
     (List.filter_map
        (fun g ->
-         if Gauge.written g && ((not (Gauge.env g)) || state.process_stats) then
+         if Gauge.written g && (env || not (Gauge.env g)) then
            Some (Gauge.name g, Json.Float (Gauge.value g))
          else None)
        (Gauge.all ()))
 
-let hists_json () =
+let bucketed_json () =
   Json.Obj
     (List.filter_map
        (fun h ->
@@ -115,8 +115,8 @@ let emit ts =
       ("ts", Json.Int (Int64.to_int ts));
       ("seq", Json.Int state.seq);
       ("counters", counters_delta_json ());
-      ("gauges", gauges_json ());
-      ("hists", hists_json ());
+      ("gauges", gauges_json ~env:state.process_stats);
+      ("hists", bucketed_json ());
     ]
   in
   let fields =

@@ -38,6 +38,16 @@ val sample : unit -> unit
 
 val snapshots_emitted : unit -> int
 
+val gauges_json : env:bool -> Json.t
+(** Every written gauge by name, in registration order; the env gauges
+    (RON_JOBS-dependent by nature) only when [env]. Shared with
+    {!Ron_obs.snapshot}, which passes [~env:false]. *)
+
+val bucketed_json : unit -> Json.t
+(** Summary (count, min, max, p50, p95, p99) of every non-empty bucketed
+    histogram by name, as in a sample's ["hists"] and the snapshot's
+    ["bucketed_histograms"]. *)
+
 val stop : unit -> unit
 (** Emit a final snapshot, close the sink, and restore the default
     clock. Idempotent. *)

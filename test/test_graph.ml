@@ -85,7 +85,7 @@ let test_flat_apsp_matches_reference () =
       let n = 30 + (seed * 7) in
       let g = random_graph (100 + seed) n (2 * n) in
       let ap = Dijkstra.all_pairs g in
-      let ref_ap = Dijkstra.all_pairs_reference g in
+      let ref_ap = Dijkstra_reference.all_pairs g in
       for u = 0 to n - 1 do
         let s = ref_ap.(u) in
         for v = 0 to n - 1 do
@@ -301,10 +301,20 @@ let test_oracle_matches_all_pairs () =
 
 let test_run_bounded_matches_run () =
   let g = random_graph 22 70 120 in
+  (* A larger graph searched on the same domain before each of [g]'s runs:
+     [g] then reuses a scratch sized and stamped for 200 nodes. *)
+  let big = random_graph 24 200 400 in
   List.iter
     (fun radius ->
       for src = 0 to 69 do
+        ignore (Dijkstra.run big (199 - src));
+        ignore (Dijkstra.run_bounded big (2 * src) ~radius);
         let full = Dijkstra.run g src in
+        let expect = Dijkstra_reference.run g src in
+        for v = 0 to 69 do
+          check_bool "row dist = reference" (Float.equal full.Dijkstra.dist.(v) expect.Dijkstra.dist.(v));
+          check_int "row hop = reference" expect.Dijkstra.first_hop.(v) full.Dijkstra.first_hop.(v)
+        done;
         let b = Dijkstra.run_bounded g src ~radius in
         check_bool "radius recorded" (Float.equal b.Dijkstra.radius radius);
         (* Settled set is exactly the closed ball. *)
@@ -321,7 +331,20 @@ let test_run_bounded_matches_run () =
             prev := b.Dijkstra.dists.(i))
           b.Dijkstra.nodes
       done)
-    [ 0.0; 2.5; 6.0; 1e9 ]
+    [ 0.0; 2.5; 6.0; 1e9 ];
+  (* Every entry point range-checks its source, whatever size the scratch
+     was last grown to. *)
+  let out_of_range = Invalid_argument "Dijkstra: source out of range" in
+  let oracle = Dijkstra.Oracle.create g in
+  List.iter
+    (fun src ->
+      ignore (Dijkstra.run big 0);
+      Alcotest.check_raises "run" out_of_range (fun () -> ignore (Dijkstra.run g src));
+      Alcotest.check_raises "run_bounded" out_of_range (fun () ->
+          ignore (Dijkstra.run_bounded g src ~radius:2.5));
+      Alcotest.check_raises "oracle row" out_of_range (fun () ->
+          ignore (Dijkstra.Oracle.distances oracle src)))
+    [ 70; -1 ]
 
 let test_sp_metric_modes_bit_identical () =
   let n = 80 in
